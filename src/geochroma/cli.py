@@ -11,8 +11,7 @@
 Exit codes: 0 success, 1 validation failure, 2 usage error.  Every command
 honors --seed and produces byte-identical outputs for identical inputs; a
 run manifest (command, parameters, seed, version, timing, output digests) is
-written next to each --out file.  GEOCHROMA_THREADS caps parallelism (the
-toolkit runs single-threaded, which respects any cap).
+written next to each --out file.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import time
 from . import __version__
 from .exactgeom import (
     GeometryError,
+    config_to_dict,
     convex_configuration,
     generate_general_position,
     load_config,
@@ -34,6 +34,7 @@ from .exactgeom import (
 )
 from .constructions import (
     ConstructionError,
+    largest_thm3_q,
     load_decomposition,
     save_decomposition,
     thm3_construction,
@@ -57,14 +58,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("GEOCHROMA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliError(f"GEOCHROMA_THREADS must be an integer, got {raw!r}")
-
-
 def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
     digest = hashlib.sha256(open(out_path, "rb").read()).hexdigest()
     manifest = {
@@ -83,8 +76,6 @@ def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
 def cmd_gen(args) -> int:
     t0 = time.time()
     if args.mode == "convex":
-        if args.seed_given:
-            pass  # seed accepted but irrelevant in convex mode
         config = convex_configuration(args.n)
     else:
         config = generate_general_position(args.n, bound=args.bound, seed=args.seed)
@@ -94,8 +85,6 @@ def cmd_gen(args) -> int:
                                           "bound": args.bound}, args.seed, t0)
         print(f"wrote {args.out} ({config.mode}, n={config.n})")
     else:
-        from .exactgeom import config_to_dict
-
         print(json.dumps(config_to_dict(config), sort_keys=True))
     return 0
 
@@ -126,8 +115,6 @@ def cmd_build(args) -> int:
             raise CliError("thm4 needs -n (multiple of 3)")
         decomp = thm4_construction(args.n).decomposition
     elif name == "thm3":
-        from .constructions import largest_thm3_q
-
         cfg = load_config(args.config) if args.config else None
         q = args.q
         if q is None:
@@ -242,7 +229,6 @@ def cmd_render(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    _threads_cap()
     if args.suite == "all":
         result = run_all(fail_fast=args.fail_fast)
     else:
@@ -321,7 +307,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
-    args.seed_given = "--seed" in (argv or sys.argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from .exactgeom import (
     Configuration,
-    GeometryError,
     config_from_dict,
     config_to_dict,
     convex_configuration,
@@ -31,22 +30,18 @@ from .exactgeom import (
 )
 from .planecut import (
     PlanecutError,
-    RegionAssignment,
-    is_prime_power,
     nine_regions,
-    prime_power_below,
     six_fan,
     six_parts_two_parallel,
     _projection_split,
     _candidate_normals,
 )
 from .designs import (
-    DesignError,
     cyclic_sts,
     difference_triples,
     pencil_through,
+    plane_order_supported,
     projective_plane,
-    _IRREDUCIBLE,
 )
 
 
@@ -97,21 +92,22 @@ def validate_decomposition(d: Decomposition) -> dict:
 
 
 def _finalize(config, raw_parts, metadata, colors=None, distinguished=None):
-    """Sort parts lexicographically by vertex list; keep colors and the
-    distinguished index set aligned with the new order."""
+    """Sort parts lexicographically by vertex list and return
+    (decomposition, coloring, distinguished), with the colors and the
+    distinguished index set aligned with the new order, or None if not given."""
     order = sorted(range(len(raw_parts)), key=lambda i: raw_parts[i].vertices)
     parts = [raw_parts[i] for i in order]
     decomp = Decomposition(config=config, parts=parts, metadata=metadata)
-    out = [decomp]
+    coloring = dist = None
     if colors is not None:
         from .chroma import Coloring
 
         remapped = tuple(colors[i] for i in order)
-        out.append(Coloring(colors=remapped, palette=max(remapped) + 1))
+        coloring = Coloring(colors=remapped, palette=max(remapped) + 1)
     if distinguished is not None:
         inv = {old: new for new, old in enumerate(order)}
-        out.append(sorted(inv[i] for i in distinguished))
-    return out[0] if len(out) == 1 else tuple(out)
+        dist = sorted(inv[i] for i in distinguished)
+    return decomp, coloring, dist
 
 
 def trivial_edge_decomposition(config: Configuration) -> Decomposition:
@@ -122,7 +118,8 @@ def trivial_edge_decomposition(config: Configuration) -> Decomposition:
         for u, v in combinations(range(config.n), 2)
     ]
     meta = {"construction": "edges", "n": config.n}
-    return _finalize(config, parts, meta)
+    decomp, _, _ = _finalize(config, parts, meta)
+    return decomp
 
 
 # --- thm4: convex matching-triangle family --------------------------------------
@@ -160,7 +157,7 @@ def thm4_construction(n: int) -> ConvexTriangleFamily:
         "n": n,
         "distinguished_triangles": m * m,
     }
-    decomp, dist_idx = _finalize(config, raw, meta, distinguished=dist)
+    decomp, _, dist_idx = _finalize(config, raw, meta, distinguished=dist)
     return ConvexTriangleFamily(decomp, dist_idx)
 
 
@@ -172,21 +169,10 @@ class K4Family(NamedTuple):
     center: tuple[Fraction, Fraction]
 
 
-def _supported_plane_order(q: int) -> bool:
-    if not is_prime_power(q):
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return q in _IRREDUCIBLE
-        d += 1
-    return True  # prime
-
-
 def largest_thm3_q(n: int) -> int:
     """Largest supported prime power q with 7q + 6 <= n."""
     q = (n - 6) // 7
-    while q > 2 and not _supported_plane_order(q):
+    while q > 2 and not plane_order_supported(q):
         q -= 1
     if q <= 2:
         raise ConstructionError(f"no prime power q > 2 fits 7q+6 <= {n}")
@@ -202,7 +188,7 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
     7q+6 the construction needs are left to the fan spill; their edges become
     singleton parts.
     """
-    if q <= 2 or not _supported_plane_order(q):
+    if q <= 2 or not plane_order_supported(q):
         raise ConstructionError(f"q must be a supported prime power > 2, got {q}")
     n = 7 * q + 6
     if config is None:
@@ -221,10 +207,8 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
         raise ConstructionError("no strip direction separates the label strip")
     strip_idx, upper_idx, _strip_line = split
 
-    from .exactgeom import Configuration as _Cfg
-
     sub_pts = tuple(pts[i] for i in upper_idx)
-    sub = _Cfg(mode="coordinates", n=len(sub_pts), points=sub_pts)
+    sub = Configuration(mode="coordinates", n=len(sub_pts), points=sub_pts)
     fan = six_fan(sub, q)
     to_global = {li: gi for li, gi in enumerate(upper_idx)}
     sectors = [[to_global[v] for v in region] for region in fan.regions]
@@ -282,7 +266,7 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
         "fan_spill": len(fan.spill),
         "strip": v4,
     }
-    decomp, dist_idx = _finalize(config, raw, meta, distinguished=dist)
+    decomp, _, dist_idx = _finalize(config, raw, meta, distinguished=dist)
     return K4Family(decomp, dist_idx, fan.center)
 
 
@@ -363,7 +347,7 @@ def thm32_construction(k: int) -> ColoredDecomposition:
         "colors": n * (k // 2 + 1),
         "blocks": len(design.blocks),
     }
-    decomp, coloring = _finalize(config, raw, meta, colors=colors)
+    decomp, coloring, _ = _finalize(config, raw, meta, colors=colors)
     if coloring.palette != n * (k // 2 + 1):
         raise ConstructionError(
             f"palette {coloring.palette} != n(k/2+1) = {n * (k // 2 + 1)}"
@@ -388,10 +372,6 @@ _K9_SOLO = (6, 7, 8)
 _K9_DIAG = ((0, 4, 8), (1, 5, 6), (2, 3, 7), (0, 5, 7), (1, 3, 8), (2, 4, 6))
 
 
-def _ekey(u, v):
-    return (u, v) if u < v else (v, u)
-
-
 def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTriangles:
     """Mostly-triangle decomposition with a proper coloring, built recursively.
 
@@ -412,7 +392,7 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
     def leftover(idxs):
         singles = []
         for u, v in combinations(sorted(idxs), 2):
-            e = _ekey(u, v)
+            e = edge(u, v)
             if e not in used:
                 used.add(e)
                 singles.append(e)
@@ -431,15 +411,13 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
             return [], leftover(ordered), 0
         sizes = [len(r) for r in base.regions]
         q = None
-        cand = prime_power_below(max(2, m // 9))
-        while cand >= 8:
+        for cand in range(m // 9, 7, -1):
             fits = all(s >= cand for s in sizes) and all(
                 (sizes[i] - cand) + (sizes[i + 3] - cand) >= cand for i in range(3)
             )
-            if fits and _supported_plane_order(cand):
+            if fits and plane_order_supported(cand):
                 q = cand
                 break
-            cand = prime_power_below(cand - 1) if cand > 2 else 1
         if q is None:
             return [], leftover(ordered), 0
         nine = nine_regions(sub, q, base=base)
@@ -483,7 +461,7 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
 
             def try_triangle(posns, key, tag):
                 tri = tuple(sorted(verts9[p] for p in posns))
-                ek = [_ekey(tri[0], tri[1]), _ekey(tri[0], tri[2]), _ekey(tri[1], tri[2])]
+                ek = [edge(tri[0], tri[1]), edge(tri[0], tri[2]), edge(tri[1], tri[2])]
                 if any(e in used for e in ek):
                     return
                 used.update(ek)
@@ -504,7 +482,7 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
         singles = []
         for u, v in combinations(ordered, 2):
             if strip_of[u] != strip_of[v]:
-                e = _ekey(u, v)
+                e = edge(u, v)
                 if e not in used:
                     used.add(e)
                     singles.append(e)
@@ -547,7 +525,7 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
     }
     meta = {"construction": "thm5", **{k: v for k, v in stats.items() if k != "levels"}}
     meta["levels"] = levels
-    decomp, coloring = _finalize(config, raw, meta, colors=colors)
+    decomp, coloring, _ = _finalize(config, raw, meta, colors=colors)
     return RecursiveTriangles(decomp, coloring, stats)
 
 

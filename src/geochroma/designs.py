@@ -1,19 +1,16 @@
 """Finite fields, projective planes, STS(9), and cyclic Steiner triple systems.
 
+Every supported GF(q) is table-driven: a prime field is the degree-1 case and
+a prime power uses a fixed table of irreducible polynomials (q <= 32).
 Desarguesian planes are built from homogeneous triples over GF(q), normalized
-so the first nonzero coordinate is 1.  Prime powers are supported through a
-fixed table of irreducible polynomials (q <= 32); everything is validated by
-exhaustive checks rather than trusted from the generator.
+so the first nonzero coordinate is 1, and each line's q+1 points are listed
+directly from its triple; the plane axioms are checked exhaustively in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
-
-from .planecut import is_prime_power
 
 
 class DesignError(ValueError):
@@ -32,47 +29,45 @@ _IRREDUCIBLE = {
 }
 
 
-class FiniteField:
-    """GF(q) with add/mul tables; elements are integers 0..q-1.
+def plane_order_supported(q: int) -> bool:
+    """True iff GF(q) is available: q is prime, or a prime power whose
+    irreducible polynomial is tabled."""
+    return q >= 2 and (_smallest_prime_factor(q) == q or q in _IRREDUCIBLE)
 
-    For prime q this is plain modular arithmetic.  For prime powers the
-    integer encodes polynomial coefficients base p (little-endian).
+
+class FiniteField:
+    """GF(q) with add/neg/mul/inv tables; elements are integers 0..q-1.
+
+    The integer encodes polynomial coefficients base p (little-endian),
+    reduced modulo a monic irreducible polynomial of degree e; a prime field
+    is the degree-1 case, reduced modulo x.
     """
 
-    __slots__ = ("q", "p", "e", "add_table", "mul_table", "inv_table")
+    __slots__ = ("q", "p", "e", "add_table", "neg_table", "mul_table", "inv_table")
 
     def __init__(self, q: int):
-        if not is_prime_power(q):
-            raise DesignError(f"{q} is not a prime power")
-        p = _smallest_prime_factor(q)
-        e = 0
-        m = q
-        while m > 1:
-            m //= p
-            e += 1
-        self.q, self.p, self.e = q, p, e
-        if e == 1:
-            self.add_table = None
-            self.mul_table = None
-        else:
-            if q not in _IRREDUCIBLE:
-                raise DesignError(f"no irreducible polynomial stored for q={q}")
-            fp, poly = _IRREDUCIBLE[q]
-            assert fp == p
-            self.add_table = [
-                [self._poly_add(a, b) for b in range(q)] for a in range(q)
-            ]
-            self.mul_table = [
-                [self._poly_mul(a, b, poly) for b in range(q)] for a in range(q)
-            ]
+        if not plane_order_supported(q):
+            raise DesignError(
+                f"GF({q}) is not supported: q must be prime or one of "
+                f"{sorted(_IRREDUCIBLE)}"
+            )
+        p, poly = _IRREDUCIBLE.get(q, (q, (0, 1)))
+        self.q, self.p, self.e = q, p, len(poly) - 1
+        self.add_table = [
+            [self._poly_add(a, b) for b in range(q)] for a in range(q)
+        ]
+        self.neg_table = [
+            self._undigits([(-d) % p for d in self._digits(a)]) for a in range(q)
+        ]
+        self.mul_table = [
+            [self._poly_mul(a, b, poly) for b in range(q)] for a in range(q)
+        ]
         self.inv_table = [0] * q
         for a in range(1, q):
-            for b in range(1, q):
-                if self.mul(a, b) == 1:
-                    self.inv_table[a] = b
-                    break
-            else:
+            row = self.mul_table[a]
+            if 1 not in row:
                 raise DesignError(f"element {a} has no inverse in GF({q})")
+            self.inv_table[a] = row.index(1)
 
     def _digits(self, a):
         out = []
@@ -111,18 +106,12 @@ class FiniteField:
         return self._undigits(prod[: self.e])
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
         return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self._undigits([(-d) % self.p for d in self._digits(a)])
+        return self.neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
         return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
@@ -165,8 +154,8 @@ class ProjectivePlane:
         return line
 
 
-def _normalized_triples(ff: FiniteField):
-    q = ff.q
+def _normalized_triples(q: int):
+    # (1, y, z) has index y*q + z, (0, 1, z) has q^2 + z, (0, 0, 1) has q^2 + q
     out = [(1, y, z) for y in range(q) for z in range(q)]
     out.extend((0, 1, z) for z in range(q))
     out.append((0, 0, 1))
@@ -174,42 +163,42 @@ def _normalized_triples(ff: FiniteField):
 
 
 def projective_plane(q: int) -> ProjectivePlane:
-    """Desarguesian projective plane of order q (q a prime power <= 43 prime,
-    or a tabled prime power <= 32)."""
+    """Desarguesian projective plane of order q, for any q with
+    plane_order_supported(q).
+
+    Line i is the triple (a, b, c) of point i; its q+1 points, the solutions
+    of a*x + b*y + c*z = 0, are listed directly as point indices.
+    """
     ff = FiniteField(q)
-    pts = _normalized_triples(ff)
-    size = q * q + q + 1
-    index = {t: i for i, t in enumerate(pts)}
-    if ff.e == 1:
-        arr = np.array(pts, dtype=np.int64)
-        inc = (arr @ arr.T) % q  # inc[i,j] = <line i, point j>
-        line_points = tuple(
-            frozenset(np.nonzero(inc[i] == 0)[0].tolist()) for i in range(size)
-        )
-    else:
-        line_points_l = []
-        for a, b, c in pts:
-            members = []
-            for j, (x, y, z) in enumerate(pts):
-                v = ff.add(ff.add(ff.mul(a, x), ff.mul(b, y)), ff.mul(c, z))
-                if v == 0:
-                    members.append(j)
-            line_points_l.append(frozenset(members))
-        line_points = tuple(line_points_l)
-    point_lines_l = [set() for _ in range(size)]
+    add, neg, mul, inv = ff.add_table, ff.neg_table, ff.mul_table, ff.inv_table
+    pts = _normalized_triples(q)
+    qq = q * q
+    line_points = []
+    for a, b, c in pts:
+        if c:
+            # z = -(a + b*y)/c for each y, and (0, 1, -b/c)
+            r = neg[inv[c]]
+            members = [y * q + mul[add[a][mul[b][y]]][r] for y in range(q)]
+            members.append(qq + mul[b][r])
+        elif b:
+            # y = -a/b with every z, and (0, 0, 1)
+            y = mul[neg[a]][inv[b]]
+            members = list(range(y * q, y * q + q))
+            members.append(qq + q)
+        else:
+            # the line x = 0
+            members = list(range(qq, qq + q + 1))
+        line_points.append(frozenset(members))
+    point_lines = [set() for _ in pts]
     for li, members in enumerate(line_points):
-        if len(members) != q + 1:
-            raise DesignError(f"line {li} has {len(members)} points, expected {q + 1}")
         for pj in members:
-            point_lines_l[pj].add(li)
-    plane = ProjectivePlane(
+            point_lines[pj].add(li)
+    return ProjectivePlane(
         q=q,
         points=tuple(pts),
-        line_points=line_points,
-        point_lines=tuple(frozenset(s) for s in point_lines_l),
+        line_points=tuple(line_points),
+        point_lines=tuple(frozenset(s) for s in point_lines),
     )
-    del index
-    return plane
 
 
 def pencil_through(plane: ProjectivePlane, z: int, m: int) -> list[list[int]]:

@@ -133,7 +133,3 @@ def test_experiment_single_suite(tmp_path, capsys):
     data = json.loads(rep.read_text())
     assert data["pass"] is True
 
-
-def test_threads_env_cap(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("GEOCHROMA_THREADS", "not-a-number")
-    assert main(["experiment", "acceptance-sts9"]) == 2

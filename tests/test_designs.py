@@ -11,6 +11,7 @@ from geochroma.designs import (
     design_to_dict,
     difference_triples,
     pencil_through,
+    plane_order_supported,
     projective_plane,
     sts9,
     validate_design,
@@ -59,6 +60,40 @@ def test_plane_axioms_exhaustive(q):
         assert len(plane.line_points[l1] & plane.line_points[l2]) == 1
     for p1, p2 in combinations(range(n), 2):
         assert len(plane.point_lines[p1] & plane.point_lines[p2]) == 1
+
+
+@pytest.mark.parametrize("q", (11, 13, 16, 29))
+def test_plane_matches_brute_force_incidence(q):
+    plane = projective_plane(q)
+    pts = [(1, y, z) for y in range(q) for z in range(q)]
+    pts += [(0, 1, z) for z in range(q)] + [(0, 0, 1)]
+    assert list(plane.points) == pts
+    if all(q % d for d in range(2, q)):
+        def on(line, pt):
+            return sum(u * v for u, v in zip(line, pt)) % q == 0
+    else:
+        ff = FiniteField(q)
+
+        def on(line, pt):
+            (a, b, c), (x, y, z) = line, pt
+            return ff.add(ff.add(ff.mul(a, x), ff.mul(b, y)), ff.mul(c, z)) == 0
+    for li, line in enumerate(pts):
+        expected = {pj for pj, pt in enumerate(pts) if on(line, pt)}
+        assert plane.line_points[li] == expected, line
+    for pj in range(len(pts)):
+        assert plane.point_lines[pj] == {
+            li for li, members in enumerate(plane.line_points) if pj in members
+        }
+
+
+def test_plane_order_supported_iff_field_constructs():
+    for q in range(65):
+        try:
+            FiniteField(q)
+            constructs = True
+        except DesignError:
+            constructs = False
+        assert plane_order_supported(q) == constructs, q
 
 
 def test_pencil_disjoint_residues():

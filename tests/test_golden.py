@@ -1,0 +1,34 @@
+"""Byte-level guard: `build` outputs must not change under refactoring.
+
+A digest mismatch means a construction now computes something different;
+it is a regression to fix, not a value to update.
+"""
+
+import hashlib
+
+import pytest
+
+from geochroma.cli import main
+
+
+@pytest.mark.parametrize("args,digest", [
+    pytest.param(["thm5", "-n", "200", "--seed", "7"],  # plane order 19, prime
+                 "0511c260b1ce393337cd19a5663405f8de0355456359c5ab4d6c0660c9c6b242",
+                 id="thm5-n200"),
+    pytest.param(["thm5", "-n", "100", "--seed", "7"],  # plane order 9, prime power
+                 "917b69c96d642aa788d54c9bf51fe6f1936d6bc5db4358447369681e1d8fc076",
+                 id="thm5-n100"),
+    pytest.param(["thm3", "-q", "5", "--seed", "1"],
+                 "0d31e1cfe1302c14e10b79563a02c72e1adacc9563a52f99696ebb20e522f871",
+                 id="thm3-q5"),
+    pytest.param(["thm3", "-q", "8", "--seed", "1"],
+                 "42dd6a8c4e458e9c6c08d03a90f281c251ee99637582980d2ff6cb4111e71022",
+                 id="thm3-q8"),
+    pytest.param(["thm32", "-k", "4"],
+                 "475f5baa5cb4175117d00246e283bf1580d8f51a32b9ab81588539f1e290918a",
+                 id="thm32-k4"),
+])
+def test_build_output_digest(tmp_path, args, digest):
+    out = tmp_path / "out.json"
+    assert main(["build", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
