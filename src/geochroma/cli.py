@@ -8,10 +8,11 @@
     geochroma render dec.json --out dec.svg --color 0
     geochroma experiment all
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.  Every command
-honors --seed and produces byte-identical outputs for identical inputs; a
-run manifest (command, parameters, seed, version, timing, output digests) is
-written next to each --out file.
+Exit codes: 0 success, 1 validation failure, 2 usage error, malformed input
+or an exhausted partition search.  Every command honors --seed and produces
+byte-identical outputs for identical inputs; a run manifest (command,
+parameters, seed, version, timing, output digests) is written next to each
+--out file.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .constructions import (
     trivial_edge_decomposition,
     validate_decomposition,
 )
+from .planecut import PlanecutError
 from .chroma import conflict_graph, exact_chromatic_index, greedy_color, verify_coloring
 from .render import render_svg
 from .experiments import SUITES, run_all, run_suites
@@ -53,9 +55,7 @@ VALIDATION_ERROR = 1
 
 
 class CliError(Exception):
-    def __init__(self, message, code=USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+    """Bad or missing command-line parameters (exit 2)."""
 
 
 def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
@@ -309,13 +309,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (GeometryError, ConstructionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (CliError, GeometryError, ConstructionError, PlanecutError,
+            ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

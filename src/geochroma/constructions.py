@@ -11,9 +11,10 @@ cyclic-STS triangle decomposition with its box coloring.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .exactgeom import (
@@ -581,19 +582,37 @@ def decomposition_to_dict(d: Decomposition, coloring=None) -> dict:
     return out
 
 
+def _ints_below(values: list, hi: float) -> bool:
+    """True iff every value is an int in [0, hi)."""
+    return (set(map(type, values)) <= {int}
+            and min(values, default=0) >= 0 and max(values, default=-1) < hi)
+
+
 def decomposition_from_dict(data: dict):
+    """Inverse of decomposition_to_dict; ConstructionError on a malformed file."""
     from .chroma import Coloring
 
+    if not isinstance(data, dict) or "config" not in data or "parts" not in data:
+        raise ConstructionError('decomposition needs "config" and "parts"')
     config = config_from_dict(data["config"])
-    parts = [
-        Part(vertices=tuple(p["vertices"]), tag=p.get("tag", "part"))
-        for p in data["parts"]
-    ]
+    raw = data["parts"]
+    if not isinstance(raw, list) or not all(
+        isinstance(p, dict) and isinstance(p.get("vertices"), list) for p in raw
+    ):
+        raise ConstructionError('"parts" must be a list of {"vertices": [...]} objects')
+    if not _ints_below(list(chain.from_iterable(p["vertices"] for p in raw)), config.n):
+        raise ConstructionError(f"part vertices must be ints in [0, {config.n})")
+    parts = [Part(vertices=tuple(p["vertices"]), tag=p.get("tag", "part")) for p in raw]
     d = Decomposition(config=config, parts=parts, metadata=data.get("metadata", {}))
     coloring = None
-    if "coloring" in data and data["coloring"] is not None:
-        cols = tuple(data["coloring"])
-        coloring = Coloring(colors=cols, palette=max(cols) + 1 if cols else 0)
+    cols = data.get("coloring")
+    if cols is not None:
+        if not (isinstance(cols, list) and len(cols) == len(parts)
+                and _ints_below(cols, math.inf)):
+            raise ConstructionError(
+                f'"coloring" must list one non-negative int per part ({len(parts)})'
+            )
+        coloring = Coloring(colors=tuple(cols), palette=max(cols) + 1 if cols else 0)
     return d, coloring
 
 

@@ -1,10 +1,10 @@
 """Exact integer geometry: orientation, crossing tests, and the part-conflict predicate.
 
 Every predicate here is evaluated in exact integer (or rational) arithmetic;
-there is no floating point anywhere.  Python integers are unbounded, so the
-documented coordinate bound (|x|, |y| <= 2**30) is a data contract enforced at
-load time rather than an arithmetic limit: configurations outside the bound
-are rejected, never silently widened.
+there is no floating point anywhere.  The documented coordinate bound
+(|x|, |y| <= 2**30) is a data contract enforced at load time: configurations
+outside the bound are rejected, never silently widened.  The predicates here
+use unbounded Python integers; planecut's int64 side counts rely on the bound.
 """
 
 from __future__ import annotations
@@ -135,17 +135,21 @@ def assert_general_position(points: Sequence[Point]) -> None:
             seen[key] = j
 
 
-def coordinate_configuration(points: Iterable, validate: bool = True) -> Configuration:
+def check_coordinate_bound(points: Sequence[Point]) -> None:
+    """Reject any point with |x| or |y| above COORD_BOUND."""
+    for idx, p in enumerate(points):
+        if abs(p.x) > COORD_BOUND or abs(p.y) > COORD_BOUND:
+            raise GeometryError(
+                f"point {idx} exceeds coordinate bound 2**30: ({p.x}, {p.y})"
+            )
+
+
+def coordinate_configuration(points: Iterable) -> Configuration:
     pts = tuple(
         p if isinstance(p, Point) else Point(int(p[0]), int(p[1])) for p in points
     )
-    if validate:
-        for idx, p in enumerate(pts):
-            if abs(p.x) > COORD_BOUND or abs(p.y) > COORD_BOUND:
-                raise GeometryError(
-                    f"point {idx} exceeds coordinate bound 2**30: ({p.x}, {p.y})"
-                )
-        assert_general_position(pts)
+    check_coordinate_bound(pts)
+    assert_general_position(pts)
     return Configuration(mode="coordinates", n=len(pts), points=pts)
 
 

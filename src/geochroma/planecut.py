@@ -4,6 +4,12 @@ The continuous existence results (equal-measure partitions by three lines) are
 realized here by exhaustive candidate search with exact integer arithmetic.
 Cut lines are always placed strictly between points: no input point ever lies
 on a cut, and every assignment can be recounted from the stored lines.
+
+The ham-sandwich search counts sides in numpy int64.  That is exact because
+every coordinate satisfies |x|, |y| <= exactgeom.COORD_BOUND = 2**30: each
+cross-product term is at most 2**31 * 2**31 = 2**62 in magnitude, and the two
+terms are compared, never subtracted.  six_parts_two_parallel enforces the
+bound itself, for configurations built without the loader.
 """
 
 from __future__ import annotations
@@ -15,9 +21,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactgeom import Configuration, Point, _canonical_direction
-
-NUMPY_SAFE_COORD = 1 << 25  # int64 cross products stay exact below this
+from .exactgeom import (
+    Configuration,
+    Point,
+    _canonical_direction,
+    check_coordinate_bound,
+)
 
 
 class PlanecutError(RuntimeError):
@@ -184,15 +193,16 @@ def _nudged_line(pts, P: Point, Q: Point, sp: int, sq: int) -> CutLine:
 
 # --- six parts by three lines, two parallel ----------------------------------
 
-def _side_signs(pts_np, pure_pts, P: Point, Q: Point):
-    dx, dy = Q.x - P.x, Q.y - P.y
-    if pts_np is not None:
-        s = dx * (pts_np[:, 1] - P.y) - dy * (pts_np[:, 0] - P.x)
-        return np.sign(s).astype(np.int64)
-    out = []
-    for p in pure_pts:
-        out.append(_sign(dx * (p.y - P.y) - dy * (p.x - P.x)))
-    return np.array(out, dtype=np.int64)
+def _side_counts(xs, ys, label, P: Point, Q: Point):
+    """Per-strip counts of the points strictly left and strictly right of PQ.
+
+    xs, ys are int64 coordinate arrays and label the strip (0..2) of each point.
+    Exact while |coordinates| <= 2**30: each product below is at most 2**62.
+    """
+    lhs = (Q.x - P.x) * (ys - P.y)
+    rhs = (Q.y - P.y) * (xs - P.x)
+    return (np.bincount(label[lhs > rhs], minlength=3),
+            np.bincount(label[lhs < rhs], minlength=3))
 
 
 def six_parts_two_parallel(config: Configuration, lo: int | None = None) -> RegionAssignment:
@@ -208,6 +218,7 @@ def six_parts_two_parallel(config: Configuration, lo: int | None = None) -> Regi
     if n < 6:
         raise PlanecutError("need n >= 6")
     pts = config.points
+    check_coordinate_bound(pts)  # keeps the int64 side counts exact
     if lo is None:
         lo = -(-n // 6) - 1  # ceil(n/6) - 1
     # outer strip size t must allow halves >= lo and a middle of >= 2*lo;
@@ -222,10 +233,8 @@ def six_parts_two_parallel(config: Configuration, lo: int | None = None) -> Regi
     third = n / 3
     t_order = sorted(range(t_min, t_max + 1),
                      key=lambda t: (t != canonical, abs(t - third), t))
-    maxc = max(max(abs(p.x), abs(p.y)) for p in pts)
-    pts_np = None
-    if maxc <= NUMPY_SAFE_COORD:
-        pts_np = np.array([[p.x, p.y] for p in pts], dtype=np.int64)
+    xs = np.array([p.x for p in pts], dtype=np.int64)
+    ys = np.array([p.y for p in pts], dtype=np.int64)
 
     def attempt(t, w):
         low_split = _projection_split(pts, range(n), w, t)
@@ -241,7 +250,7 @@ def six_parts_two_parallel(config: Configuration, lo: int | None = None) -> Regi
         label = np.zeros(n, dtype=np.int64)  # 0=A 1=M 2=B
         label[M] = 1
         label[B] = 2
-        found = _ham_sandwich(pts, pts_np, label, A, B, lo)
+        found = _ham_sandwich(pts, xs, ys, label, A, B, lo)
         if found is None:
             return None
         return found, label, line_hi, line_lo, (A, M, B)
@@ -290,7 +299,7 @@ def six_parts_two_parallel(config: Configuration, lo: int | None = None) -> Regi
     )
 
 
-def _ham_sandwich(pts, pts_np, label, A, B, lo):
+def _ham_sandwich(pts, xs, ys, label, A, B, lo):
     """Line splitting strips A and B near-evenly with both middle parts >= lo.
 
     Brute force over lines through one point of A and one of B; first valid
@@ -302,18 +311,13 @@ def _ham_sandwich(pts, pts_np, label, A, B, lo):
         Pa = pts[ia]
         for ib in sorted(B):
             Pb = pts[ib]
-            s = _side_signs(pts_np, pts, Pa, Pb)
-            cnt = {}
-            for strip in (0, 1, 2):
-                mask = label == strip
-                cnt[strip, 1] = int(np.count_nonzero(mask & (s > 0)))
-                cnt[strip, -1] = int(np.count_nonzero(mask & (s < 0)))
+            left, right = _side_counts(xs, ys, label, Pa, Pb)
+            (al, mp, bl), (ar, mm, br) = left.tolist(), right.tolist()
             for sa, sb in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-                ap = cnt[0, 1] + (sa > 0)
-                am = cnt[0, -1] + (sa < 0)
-                bp = cnt[2, 1] + (sb > 0)
-                bm = cnt[2, -1] + (sb < 0)
-                mp, mm = cnt[1, 1], cnt[1, -1]
+                ap = al + (sa > 0)
+                am = ar + (sa < 0)
+                bp = bl + (sb > 0)
+                bm = br + (sb < 0)
                 if min(ap, am, bp, bm, mp, mm) < lo:
                     continue
                 line = _nudged_line(pts, Pa, Pb, sa, sb)
@@ -444,17 +448,18 @@ def _try_fan_center(pts, q, line1, u, X0, t, U_idx, D_idx):
     if su < 3 * q or sd < 3 * q:
         return None
 
+    # boundary k of U (between Us[k-1] and Us[k]): its ray, and how many D
+    # points lie before the opposite ray
+    rays, below = {}, {}
+    for k in range(q, su - q + 1):
+        r = rays[k] = _ray_between(dirs, Us[k - 1], Us[k], dirs)
+        nr = (-r[0], -r[1])
+        below[k] = sum(1 for i in Ds if _cross(dirs[i], nr) > 0)
+
     for a in range(q, su - 2 * q + 1):
         for b in range(a + q, su - q + 1):
-            try:
-                r2 = _ray_between(dirs, Us[a - 1], Us[a], dirs)
-                r3 = _ray_between(dirs, Us[b - 1], Us[b], dirs)
-            except PlanecutError:
-                continue
-            nr2 = (-r2[0], -r2[1])
-            nr3 = (-r3[0], -r3[1])
-            i2 = sum(1 for i in Ds if _cross(dirs[i], nr2) > 0)
-            i3 = sum(1 for i in Ds if _cross(dirs[i], nr3) > 0)
+            r2, r3 = rays[a], rays[b]
+            i2, i3 = below[a], below[b]
             if i3 < i2:
                 continue
             d1, d2, d3 = i2, i3 - i2, sd - i3
@@ -540,15 +545,12 @@ def nine_regions(config: Configuration, q: int, base: RegionAssignment | None = 
     keys = {}
     for i in range(6):
         sgn = 1 if i < 3 else -1
-        ranked = sorted(
-            S[i],
-            key=lambda v: (N * sgn * l3.value(pts[v]) + gx * pts[v].x + gy * pts[v].y),
-        )
-        Ri, Rrest = ranked[:q], ranked[q:]
 
         def key(v):
             return N * sgn * l3.value(pts[v]) + gx * pts[v].x + gy * pts[v].y
 
+        ranked = sorted(S[i], key=key)
+        Ri, Rrest = ranked[:q], ranked[q:]
         k1 = key(Ri[-1])
         k2 = key(Rrest[0]) if Rrest else k1 + 2
         # F(x) = 4(N*sgn*f3(x) + g(x)) - (2(k1+k2)+1): negative exactly on Ri,
@@ -595,32 +597,3 @@ def nine_regions(config: Configuration, q: int, base: RegionAssignment | None = 
     recount_regions(asg, config)
     return asg
 
-
-# --- prime powers -------------------------------------------------------------
-
-def is_prime_power(m: int) -> bool:
-    if m < 2:
-        return False
-    f = m
-    p = None
-    d = 2
-    while d * d <= f:
-        if f % d == 0:
-            p = d
-            while f % d == 0:
-                f //= d
-            break
-        d += 1
-    if p is None:
-        return True  # m itself prime
-    return f == 1
-
-
-def prime_power_below(x: int) -> int:
-    """Largest prime power <= x."""
-    if x < 2:
-        raise PlanecutError("prime_power_below needs x >= 2")
-    m = x
-    while not is_prime_power(m):
-        m -= 1
-    return m

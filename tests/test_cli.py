@@ -133,3 +133,60 @@ def test_experiment_single_suite(tmp_path, capsys):
     data = json.loads(rep.read_text())
     assert data["pass"] is True
 
+
+def _malformed(tmp_path, kind):
+    """A decomposition file with one schema fault, and the command to run on it."""
+    out = tmp_path / "bad.json"
+    if kind == "no-parts":
+        main(["build", "thm4", "-n", "9", "--out", str(out)])
+        data = json.loads(out.read_text())
+        del data["parts"]
+        cmd = "verify"
+    elif kind == "convex-vertex":
+        main(["gen", "-n", "5", "--convex", "--out", str(tmp_path / "c5.json")])
+        main(["build", "edges", "--config", str(tmp_path / "c5.json"), "--out", str(out)])
+        data = json.loads(out.read_text())
+        data["parts"][0]["vertices"] = [0, 9]
+        cmd = "color"
+    elif kind == "coords-vertex":
+        main(["gen", "-n", "3", "--seed", "1", "--out", str(tmp_path / "p3.json")])
+        main(["build", "edges", "--config", str(tmp_path / "p3.json"), "--out", str(out)])
+        data = json.loads(out.read_text())
+        data["parts"][0]["vertices"] = [0, 7]
+        cmd = "color"
+    else:  # a coloring with one entry too few, or a negative color
+        main(["build", "thm32", "-k", "4", "--out", str(out)])
+        data = json.loads(out.read_text())
+        if kind == "short-coloring":
+            data["coloring"] = data["coloring"][:-1]
+        else:
+            data["coloring"][0] = -1
+        cmd = "verify"
+    out.write_text(json.dumps(data))
+    return [cmd, str(out)]
+
+
+@pytest.mark.parametrize("kind", ["no-parts", "convex-vertex", "coords-vertex",
+                                  "short-coloring", "negative-color"])
+def test_malformed_decomposition_exits_2(tmp_path, capsys, kind):
+    argv = _malformed(tmp_path, kind)
+    before = (tmp_path / "bad.json").read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert (tmp_path / "bad.json").read_bytes() == before  # never overwritten
+
+
+def test_planecut_error_exits_2(tmp_path, capsys, monkeypatch):
+    from geochroma import cli
+    from geochroma.planecut import PlanecutError
+
+    def exhausted(*args, **kwargs):
+        raise PlanecutError("six_fan: candidate search exhausted (m=69, q=9)")
+
+    monkeypatch.setattr(cli, "thm3_construction", exhausted)
+    assert main(["build", "thm3", "-q", "9", "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: six_fan: candidate search exhausted (m=69, q=9)\n"

@@ -32,3 +32,13 @@ def test_build_output_digest(tmp_path, args, digest):
     out = tmp_path / "out.json"
     assert main(["build", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_thm5_digest_at_coordinate_bound(tmp_path):
+    # coordinates up to 2**30, where the int64 side counts reach 2**62
+    cfg, out = tmp_path / "pts.json", tmp_path / "out.json"
+    assert main(["gen", "-n", "200", "--bound", "1073741824", "--seed", "3",
+                 "--out", str(cfg)]) == 0
+    assert main(["build", "thm5", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "babdb0247e5d9f901cf3f21e3c1ce59cd41b234673f41b7c8f1cc2e49dd14130")

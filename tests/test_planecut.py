@@ -1,8 +1,12 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from geochroma.exactgeom import (
+    COORD_BOUND,
+    Configuration,
+    GeometryError,
     Point,
     coordinate_configuration,
     generate_general_position,
@@ -10,9 +14,8 @@ from geochroma.exactgeom import (
 )
 from geochroma.planecut import (
     PlanecutError,
-    is_prime_power,
+    _side_counts,
     nine_regions,
-    prime_power_below,
     recount_regions,
     six_fan,
     six_parts_two_parallel,
@@ -157,32 +160,36 @@ def test_nine_regions_merged_pattern_membership():
             )
 
 
-def test_prime_power_below_examples():
-    assert prime_power_below(9) == 9
-    assert prime_power_below(10) == 9
-    assert prime_power_below(100) == 97
+def test_side_counts_exact_at_coordinate_bound():
+    # corners and box-edge points of [-2**30, 2**30]^2: the cross-product
+    # terms reach 2**62, the largest the int64 comparison has to hold
+    B = COORD_BOUND
+    pts = [Point(x, y) for x in (-B, B) for y in (-B, B)]
+    pts += [Point(B, 0), Point(-B, 1), Point(3, B), Point(-5, -B),
+            Point(B, B - 1), Point(-B + 1, B), Point(B, -B + 2), Point(0, 0)]
+    xs = np.array([p.x for p in pts], dtype=np.int64)
+    ys = np.array([p.y for p in pts], dtype=np.int64)
+    label = np.array([i % 3 for i in range(len(pts))], dtype=np.int64)
+    for P in pts:
+        for Q in pts:
+            if P == Q:
+                continue
+            want = {1: [0, 0, 0], -1: [0, 0, 0]}
+            for i, p in enumerate(pts):
+                # plain-int oracle: sign of the cross product (Q - P) x (p - P)
+                s = (Q.x - P.x) * (p.y - P.y) - (Q.y - P.y) * (p.x - P.x)
+                if s:
+                    want[1 if s > 0 else -1][i % 3] += 1
+            left, right = _side_counts(xs, ys, label, P, Q)
+            assert (left.tolist(), right.tolist()) == (want[1], want[-1]), (P, Q)
 
 
-def test_prime_power_below_against_sieve():
-    # independent oracle: sieve of Eratosthenes, then explicit p^k enumeration
-    N = 200
-    sieve = [True] * (N + 1)
-    sieve[0] = sieve[1] = False
-    for i in range(2, N + 1):
-        if sieve[i]:
-            for j in range(2 * i, N + 1, i):
-                sieve[j] = False
-    powers = set()
-    for p in range(2, N + 1):
-        if sieve[p]:
-            v = p
-            while v <= N:
-                powers.add(v)
-                v *= p
-    for x in range(2, N + 1):
-        expected = max(v for v in powers if v <= x)
-        assert prime_power_below(x) == expected
-        assert is_prime_power(x) == (x in powers)
+def test_six_parts_rejects_coordinates_above_bound():
+    # built directly, so the loader's bound check never ran
+    pts = [Point(t, t * t) for t in range(5)] + [Point(COORD_BOUND + 1, 7)]
+    cfg = Configuration(mode="coordinates", n=6, points=tuple(pts))
+    with pytest.raises(GeometryError):
+        six_parts_two_parallel(cfg)
 
 
 def test_region_assignment_serialization():
