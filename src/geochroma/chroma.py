@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .exactgeom import Configuration, parts_conflict, point_in_triangle, part_edges
-from .constructions import Decomposition
+from .constructions import Coloring, Decomposition
 
 
 class ChromaError(ValueError):
@@ -29,22 +29,11 @@ class _BudgetExceeded(Exception):
 
 
 @dataclass(frozen=True)
-class Coloring:
-    """Part index -> 0-based color id."""
-
-    colors: tuple[int, ...]
-    palette: int
-
-
-@dataclass(frozen=True)
 class ConflictGraph:
     """Symmetric irreflexive adjacency over part indices (bitmask rows)."""
 
     m: int
     adj: tuple[int, ...]
-
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
 
 
 def _bits(x: int):
@@ -335,15 +324,6 @@ class TriangleCensus:
     per_class_large: dict[int, int]
     violations: list[int] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "limit": self.limit,
-            "per_class_large": self.per_class_large,
-            "violations": self.violations,
-            "max_class_large": max(self.per_class_large.values(), default=0),
-        }
-
 
 def triangle_census(d: Decomposition, c: Coloring, x=None) -> TriangleCensus:
     """Count large triangles per color class; flag classes beyond floor(x)-2.
@@ -389,9 +369,6 @@ class BoundValue(NamedTuple):
 
     def midpoint(self) -> float:
         return float((self.lo + self.hi) / 2)
-
-    def exact(self) -> bool:
-        return self.lo == self.hi
 
 
 def _sqrt_interval(v: Fraction) -> tuple[Fraction, Fraction]:

@@ -1,11 +1,14 @@
 """Edge decompositions of complete geometric graphs and their constructions.
 
 A decomposition is a list of parts (vertex subsets, each inducing a complete
-subgraph) covering every edge of the complete graph exactly once.  The
-constructors here realize the explicit families: the trivial edge partition,
-the pairwise-intersecting K4 family on general-position points, the convex
-matching-triangle family, the recursive triangle decomposition, and the
-cyclic-STS triangle decomposition with its box coloring.
+subgraph) covering every edge of the complete graph exactly once; a coloring
+gives each part a color.  The constructors here realize the explicit
+families: the trivial edge partition, the pairwise-intersecting K4 family on
+general-position points, the convex matching-triangle family, the recursive
+triangle decomposition, and the cyclic-STS triangle decomposition with its
+box coloring.  Each one hands its raw parts to one assembly step, _finalize,
+which sorts them and, for an uncolored family, turns every edge no part
+covers into a singleton part.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .planecut import (
 from .designs import (
     cyclic_sts,
     difference_triples,
-    pencil_through,
+    pencil_transversals,
     plane_order_supported,
     projective_plane,
 )
@@ -74,6 +77,14 @@ class Decomposition:
     metadata: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class Coloring:
+    """Part index -> 0-based color id."""
+
+    colors: tuple[int, ...]
+    palette: int
+
+
 def validate_decomposition(d: Decomposition) -> dict:
     """Exact-cover report: every edge of K_n in exactly one part."""
     n = d.config.n
@@ -92,35 +103,39 @@ def validate_decomposition(d: Decomposition) -> dict:
             "valid": not uncovered and not repeated}
 
 
-def _finalize(config, raw_parts, metadata, colors=None, distinguished=None):
-    """Sort parts lexicographically by vertex list and return
-    (decomposition, coloring, distinguished), with the colors and the
-    distinguished index set aligned with the new order, or None if not given."""
+def _finalize(config, raw_parts, metadata, colors=None):
+    """Sort parts lexicographically by vertex list; return (decomposition,
+    coloring).
+
+    With colors, the coloring follows the parts into the new order.  Without,
+    the coloring is None and every edge of K_n that no raw part covers first
+    becomes a singleton-edge part.
+    """
+    if colors is None:
+        covered = set(chain.from_iterable(p.edges() for p in raw_parts))
+        raw_parts = raw_parts + [
+            Part(vertices=e, tag="singleton-edge")
+            for e in combinations(range(config.n), 2) if e not in covered
+        ]
     order = sorted(range(len(raw_parts)), key=lambda i: raw_parts[i].vertices)
     parts = [raw_parts[i] for i in order]
     decomp = Decomposition(config=config, parts=parts, metadata=metadata)
-    coloring = dist = None
-    if colors is not None:
-        from .chroma import Coloring
+    if colors is None:
+        return decomp, None
+    remapped = tuple(colors[i] for i in order)
+    return decomp, Coloring(colors=remapped, palette=max(remapped) + 1)
 
-        remapped = tuple(colors[i] for i in order)
-        coloring = Coloring(colors=remapped, palette=max(remapped) + 1)
-    if distinguished is not None:
-        inv = {old: new for new, old in enumerate(order)}
-        dist = sorted(inv[i] for i in distinguished)
-    return decomp, coloring, dist
+
+def _distinguished(decomp: Decomposition) -> list[int]:
+    """Indices of the parts with more than two vertices: the family itself,
+    as opposed to the singleton edges that complete the cover."""
+    return [i for i, p in enumerate(decomp.parts) if len(p.vertices) > 2]
 
 
 def trivial_edge_decomposition(config: Configuration) -> Decomposition:
     if config.n < 2:
         raise ConstructionError("need n >= 2")
-    parts = [
-        Part(vertices=(u, v), tag="singleton-edge")
-        for u, v in combinations(range(config.n), 2)
-    ]
-    meta = {"construction": "edges", "n": config.n}
-    decomp, _, _ = _finalize(config, parts, meta)
-    return decomp
+    return _finalize(config, [], {"construction": "edges", "n": config.n})[0]
 
 
 # --- thm4: convex matching-triangle family --------------------------------------
@@ -142,24 +157,18 @@ def thm4_construction(n: int) -> ConvexTriangleFamily:
     m = n // 3
     config = convex_configuration(n)
     raw = []
-    covered = set()
     for i in range(m, 2 * m):
         for j in range(2 * m, 3 * m):
             k = (i + j) % m
             verts = tuple(sorted((k, i, j)))
             raw.append(Part(vertices=verts, tag=f"triangle({k};{i},{j})"))
-            covered.update(part_edges(verts))
-    dist = list(range(len(raw)))
-    for u, v in combinations(range(n), 2):
-        if (u, v) not in covered:
-            raw.append(Part(vertices=(u, v), tag="singleton-edge"))
     meta = {
         "construction": "thm4",
         "n": n,
         "distinguished_triangles": m * m,
     }
-    decomp, _, dist_idx = _finalize(config, raw, meta, distinguished=dist)
-    return ConvexTriangleFamily(decomp, dist_idx)
+    decomp, _ = _finalize(config, raw, meta)
+    return ConvexTriangleFamily(decomp, _distinguished(decomp))
 
 
 # --- thm3: K4 family on points in general position -------------------------------
@@ -211,50 +220,20 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
     sub_pts = tuple(pts[i] for i in upper_idx)
     sub = Configuration(mode="coordinates", n=len(sub_pts), points=sub_pts)
     fan = six_fan(sub, q)
-    to_global = {li: gi for li, gi in enumerate(upper_idx)}
-    sectors = [[to_global[v] for v in region] for region in fan.regions]
-
-    plane = projective_plane(q)
-    z = 0
-    pencil = pencil_through(plane, z, 4)
-    pos = [
-        {pt: idx for idx, pt in enumerate(line)} for line in pencil
-    ]
-    on_line = {}
-    for a, line in enumerate(pencil):
-        for idx, pt in enumerate(line):
-            on_line[pt] = (a, idx)
+    sectors = [[upper_idx[v] for v in region] for region in fan.regions]
 
     v1, u1 = sectors[0], sectors[1]
     v2, u2 = sectors[2], sectors[3]
     v3, u3 = sectors[4], sectors[5]
     v4 = sorted(strip_idx)
 
+    # a line off the pencil's point meets pencil lines 0 and 3 at (i, j), and
+    # every (i, j) pair once: a transversal design pairing fan points
     raw = []
-    covered = set()
-    for i in range(q):
-        for j in range(q):
-            lam = plane.line_through(pencil[0][i], pencil[3][j])
-            i2 = j2 = None
-            for pt in plane.line_points[lam]:
-                hit = on_line.get(pt)
-                if hit is None:
-                    continue
-                a, idx = hit
-                if a == 1:
-                    i2 = idx
-                elif a == 2:
-                    j2 = idx
-            if i2 is None or j2 is None:
-                raise ConstructionError("transversal line misses a pencil line")
-            for fam, s1, s2_, s3_ in (("X", v1, v2, v3), ("Y", u1, u2, u3)):
-                verts = tuple(sorted((s1[i], v4[j], s2_[i2], s3_[j2])))
-                raw.append(Part(vertices=verts, tag=f"{fam}({i + 1},{j + 1})"))
-                covered.update(part_edges(verts))
-    dist = list(range(len(raw)))
-    for u, v in combinations(range(n), 2):
-        if (u, v) not in covered:
-            raw.append(Part(vertices=(u, v), tag="singleton-edge"))
+    for i, i2, j2, j in pencil_transversals(projective_plane(q), 4):
+        for fam, s1, s2_, s3_ in (("X", v1, v2, v3), ("Y", u1, u2, u3)):
+            verts = tuple(sorted((s1[i], v4[j], s2_[i2], s3_[j2])))
+            raw.append(Part(vertices=verts, tag=f"{fam}({i + 1},{j + 1})"))
 
     cx, cy = fan.center
     meta = {
@@ -267,15 +246,15 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
         "fan_spill": len(fan.spill),
         "strip": v4,
     }
-    decomp, _, dist_idx = _finalize(config, raw, meta, distinguished=dist)
-    return K4Family(decomp, dist_idx, fan.center)
+    decomp, _ = _finalize(config, raw, meta)
+    return K4Family(decomp, _distinguished(decomp), fan.center)
 
 
 # --- thm32: cyclic STS box coloring -----------------------------------------------
 
 class ColoredDecomposition(NamedTuple):
     decomposition: Decomposition
-    coloring: "object"
+    coloring: Coloring
 
 
 def _anchored_block(n, anchor, d1, d2):
@@ -348,7 +327,7 @@ def thm32_construction(k: int) -> ColoredDecomposition:
         "colors": n * (k // 2 + 1),
         "blocks": len(design.blocks),
     }
-    decomp, coloring, _ = _finalize(config, raw, meta, colors=colors)
+    decomp, coloring = _finalize(config, raw, meta, colors=colors)
     if coloring.palette != n * (k // 2 + 1):
         raise ConstructionError(
             f"palette {coloring.palette} != n(k/2+1) = {n * (k // 2 + 1)}"
@@ -360,7 +339,7 @@ def thm32_construction(k: int) -> ColoredDecomposition:
 
 class RecursiveTriangles(NamedTuple):
     decomposition: Decomposition
-    coloring: "object"
+    coloring: Coloring
     stats: dict
 
 
@@ -390,26 +369,24 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
     used: set[tuple[int, int]] = set()
     levels: list[dict] = []
 
-    def leftover(idxs):
-        singles = []
-        for u, v in combinations(sorted(idxs), 2):
-            e = edge(u, v)
-            if e not in used:
-                used.add(e)
-                singles.append(e)
+    def leftover(pairs):
+        """Mark the given (u < v) pairs that no part covers yet as singleton
+        edges, and return them."""
+        singles = [e for e in pairs if e not in used]
+        used.update(singles)
         return singles
 
     def build(idxs, depth):
         ordered = sorted(idxs)
         m = len(ordered)
         if m < threshold:
-            return [], leftover(ordered), 0
+            return [], leftover(combinations(ordered, 2)), 0
         sub_pts = tuple(pts[i] for i in ordered)
         sub = Configuration(mode="coordinates", n=m, points=sub_pts)
         try:
             base = six_parts_two_parallel(sub)
         except PlanecutError:
-            return [], leftover(ordered), 0
+            return [], leftover(combinations(ordered, 2)), 0
         sizes = [len(r) for r in base.regions]
         q = None
         for cand in range(m // 9, 7, -1):
@@ -420,37 +397,17 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
                 q = cand
                 break
         if q is None:
-            return [], leftover(ordered), 0
+            return [], leftover(combinations(ordered, 2)), 0
         nine = nine_regions(sub, q, base=base)
 
-        to_global = {li: gi for li, gi in enumerate(ordered)}
-        regions = [[to_global[v] for v in r] for r in nine.regions]
-        strips_global = [[to_global[v] for v in s] for s in nine.strips]
-
-        plane = projective_plane(q)
-        z = 0
-        pencil = pencil_through(plane, z, 9)
-        on_line = {}
-        for a, line in enumerate(pencil):
-            for idx, ppt in enumerate(line):
-                on_line[ppt] = (a, idx)
+        regions = [[ordered[v] for v in r] for r in nine.regions]
+        strips_global = [[ordered[v] for v in s] for s in nine.strips]
 
         tri_entries = []
         ncolors = 0
-        k9_count = 0
-        z_lines = plane.point_lines[z]
-        for lam in range(plane.size):
-            if lam in z_lines:
-                continue
-            verts9 = [None] * 9
-            for ppt in plane.line_points[lam]:
-                hit = on_line.get(ppt)
-                if hit is not None:
-                    a, idx = hit
-                    verts9[a] = regions[a][idx]
-            if any(v is None for v in verts9):
-                raise ConstructionError("plane line misses a pencil residue")
-            k9_count += 1
+        transversals = pencil_transversals(projective_plane(q), 9)
+        for pos in transversals:
+            verts9 = [regions[a][idx] for a, idx in enumerate(pos)]
             slots: dict[str, int] = {}
 
             def color_for(key):
@@ -480,16 +437,12 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
         for si, strip in enumerate(strips_global):
             for v in strip:
                 strip_of[v] = si
-        singles = []
-        for u, v in combinations(ordered, 2):
-            if strip_of[u] != strip_of[v]:
-                e = edge(u, v)
-                if e not in used:
-                    used.add(e)
-                    singles.append(e)
+        singles = leftover(
+            (u, v) for u, v in combinations(ordered, 2) if strip_of[u] != strip_of[v]
+        )
 
         levels.append({
-            "depth": depth, "m": m, "q": q, "k9s": k9_count,
+            "depth": depth, "m": m, "q": q, "k9s": len(transversals),
             "level_triangles": len(tri_entries),
             "level_colors": ncolors,
         })
@@ -524,9 +477,8 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
         "colors": tri_colors + single_palette,
         "levels": levels,
     }
-    meta = {"construction": "thm5", **{k: v for k, v in stats.items() if k != "levels"}}
-    meta["levels"] = levels
-    decomp, coloring, _ = _finalize(config, raw, meta, colors=colors)
+    meta = {"construction": "thm5", **stats}
+    decomp, coloring = _finalize(config, raw, meta, colors=colors)
     return RecursiveTriangles(decomp, coloring, stats)
 
 
@@ -589,11 +541,13 @@ def _ints_below(values: list, hi: float) -> bool:
 
 
 def decomposition_from_dict(data: dict):
-    """Inverse of decomposition_to_dict; ConstructionError on a malformed file."""
-    from .chroma import Coloring
-
+    """Inverse of decomposition_to_dict; ConstructionError (or GeometryError,
+    for the configuration) on a malformed file."""
     if not isinstance(data, dict) or "config" not in data or "parts" not in data:
         raise ConstructionError('decomposition needs "config" and "parts"')
+    metadata = data.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ConstructionError('"metadata" must be an object')
     config = config_from_dict(data["config"])
     raw = data["parts"]
     if not isinstance(raw, list) or not all(
@@ -603,7 +557,7 @@ def decomposition_from_dict(data: dict):
     if not _ints_below(list(chain.from_iterable(p["vertices"] for p in raw)), config.n):
         raise ConstructionError(f"part vertices must be ints in [0, {config.n})")
     parts = [Part(vertices=tuple(p["vertices"]), tag=p.get("tag", "part")) for p in raw]
-    d = Decomposition(config=config, parts=parts, metadata=data.get("metadata", {}))
+    d = Decomposition(config=config, parts=parts, metadata=metadata)
     coloring = None
     cols = data.get("coloring")
     if cols is not None:

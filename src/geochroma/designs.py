@@ -146,13 +146,6 @@ class ProjectivePlane:
     def size(self) -> int:
         return self.q * self.q + self.q + 1
 
-    def line_through(self, p1: int, p2: int) -> int:
-        if p1 == p2:
-            raise DesignError("two distinct points are needed")
-        common = self.point_lines[p1] & self.point_lines[p2]
-        (line,) = common
-        return line
-
 
 def _normalized_triples(q: int):
     # (1, y, z) has index y*q + z, (0, 1, z) has q^2 + z, (0, 0, 1) has q^2 + q
@@ -211,13 +204,38 @@ def pencil_through(plane: ProjectivePlane, z: int, m: int) -> list[list[int]]:
     return [sorted(plane.line_points[li] - {z}) for li in lines[:m]]
 
 
+def pencil_transversals(plane: ProjectivePlane, m: int) -> list[tuple[int, ...]]:
+    """Where the lines off point 0 cross the pencil of m lines through it.
+
+    For each line not through point 0, in index order, the tuple holds the
+    position of its meeting point on each line of pencil_through(plane, 0, m).
+    Two points on different pencil lines fix one such line, so the q^2 tuples
+    pair the positions on any two pencil lines bijectively.
+    """
+    pencil = pencil_through(plane, 0, m)
+    where = {pt: (a, idx) for a, line in enumerate(pencil) for idx, pt in enumerate(line)}
+    through0 = plane.point_lines[0]
+    out = []
+    for li, members in enumerate(plane.line_points):
+        if li in through0:
+            continue
+        pos = [None] * m
+        for pt in members:
+            hit = where.get(pt)
+            if hit is not None:
+                pos[hit[0]] = hit[1]
+        if None in pos:
+            raise DesignError(f"line {li} misses a pencil line")
+        out.append(tuple(pos))
+    return out
+
+
 # --- block designs -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BlockDesign:
     n: int
     blocks: tuple[tuple[int, ...], ...]
-    kappa: int = 3
 
 
 def validate_design(d: BlockDesign) -> dict:
@@ -247,7 +265,7 @@ _STS9_CLASSES = (
 def sts9() -> tuple[BlockDesign, tuple[tuple[tuple[int, ...], ...], ...]]:
     """The unique STS(9): 12 blocks in 4 parallel classes of 3 blocks each."""
     blocks = tuple(blk for cls in _STS9_CLASSES for blk in cls)
-    return BlockDesign(n=9, blocks=blocks, kappa=3), _STS9_CLASSES
+    return BlockDesign(n=9, blocks=blocks), _STS9_CLASSES
 
 
 # --- difference triples (cyclic STS generator table) ---------------------------
@@ -271,17 +289,6 @@ class DifferenceTripleTable:
         for row in self.rows:
             out.extend((row.e123, row.e456, row.e789))
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "rows": [
-                {"e123": list(r.e123), "e456": list(r.e456),
-                 "e789": list(r.e789), "box": r.box}
-                for r in self.rows
-            ],
-        }
 
 
 def _triple_a(k: int, a: int) -> tuple[int, int, int]:
@@ -376,7 +383,7 @@ def cyclic_sts(n: int, table: DifferenceTripleTable) -> BlockDesign:
     for d1, d2, _ in table.triples():
         for s in range(n):
             blocks.append(tuple(sorted((s, (s + d1) % n, (s + d1 + d2) % n))))
-    design = BlockDesign(n=n, blocks=tuple(sorted(blocks)), kappa=3)
+    design = BlockDesign(n=n, blocks=tuple(sorted(blocks)))
     report = validate_design(design)
     if not report["valid"]:
         raise DesignError(
@@ -384,13 +391,3 @@ def cyclic_sts(n: int, table: DifferenceTripleTable) -> BlockDesign:
             f"{len(report['repeated'])} repeated pairs"
         )
     return design
-
-
-def design_to_dict(d: BlockDesign) -> dict:
-    return {"n": d.n, "blocks": [list(b) for b in d.blocks]}
-
-
-def design_from_dict(data: dict) -> BlockDesign:
-    blocks = tuple(tuple(b) for b in data["blocks"])
-    kappa = len(blocks[0]) if blocks else 3
-    return BlockDesign(n=int(data["n"]), blocks=blocks, kappa=kappa)

@@ -248,13 +248,27 @@ def config_to_dict(config: Configuration) -> dict:
 
 
 def config_from_dict(d: dict) -> Configuration:
+    """Inverse of config_to_dict; GeometryError unless d is an object whose
+    "mode" is "convex" with an int "n", or "coordinates" with "points" a list
+    of [int, int] pairs (and "n", if given, an int equal to their number).
+    Types are checked exactly, so a bool, float or string is never an int."""
+    if not isinstance(d, dict):
+        raise GeometryError("a configuration must be a JSON object")
     mode = d.get("mode")
     if mode == "convex":
-        return convex_configuration(int(d["n"]))
+        if type(d.get("n")) is not int:
+            raise GeometryError('a convex configuration needs an int "n"')
+        return convex_configuration(d["n"])
     if mode == "coordinates":
-        cfg = coordinate_configuration(d["points"])
-        if cfg.n != int(d.get("n", cfg.n)):
-            raise GeometryError("declared n does not match points array")
+        pts = d.get("points")
+        if not isinstance(pts, list) or not all(
+            isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+            for p in pts
+        ):
+            raise GeometryError('"points" must be a list of [int, int] pairs')
+        cfg = coordinate_configuration(pts)
+        if "n" in d and not (type(d["n"]) is int and d["n"] == cfg.n):
+            raise GeometryError('"n" must be an int equal to the number of points')
         return cfg
     raise GeometryError(f"unknown configuration mode {mode!r}")
 

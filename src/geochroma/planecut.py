@@ -15,7 +15,7 @@ bound itself, for configurations built without the loader.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -72,20 +72,6 @@ class RegionAssignment:
     patterns: list[list[tuple[int, ...]]]
     strips: list[list[int]] | None = None
     center: tuple[Fraction, Fraction] | None = None
-    meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = {
-            "regions": [list(r) for r in self.regions],
-            "spill": list(self.spill),
-            "cuts": [[ln.a, ln.b, ln.c] for ln in self.cuts],
-            "patterns": [[list(p) for p in pats] for pats in self.patterns],
-        }
-        if self.strips is not None:
-            d["strips"] = [list(s) for s in self.strips]
-        if self.center is not None:
-            d["center"] = [str(self.center[0]), str(self.center[1])]
-        return d
 
 
 def recount_regions(assignment: RegionAssignment, config: Configuration) -> None:
@@ -205,7 +191,7 @@ def _side_counts(xs, ys, label, P: Point, Q: Point):
             np.bincount(label[lhs < rhs], minlength=3))
 
 
-def six_parts_two_parallel(config: Configuration, lo: int | None = None) -> RegionAssignment:
+def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
     """Three cuts, two of them parallel, giving six regions of >= ceil(n/6)-1.
 
     Candidate strip directions are scanned in a fixed deterministic order; for
@@ -219,8 +205,7 @@ def six_parts_two_parallel(config: Configuration, lo: int | None = None) -> Regi
         raise PlanecutError("need n >= 6")
     pts = config.points
     check_coordinate_bound(pts)  # keeps the int64 side counts exact
-    if lo is None:
-        lo = -(-n // 6) - 1  # ceil(n/6) - 1
+    lo = -(-n // 6) - 1  # ceil(n/6) - 1
     # outer strip size t must allow halves >= lo and a middle of >= 2*lo;
     # the canonical allocation ceil(n/3) comes first (it is the one the
     # continuity proof fixes), smaller middles only as feasibility fallbacks
@@ -567,7 +552,6 @@ def nine_regions(config: Configuration, q: int, base: RegionAssignment | None = 
 
     regions = [sorted(r) for r in lower]
     spill = []
-    merged_patterns = []
     for strip in range(3):
         pool = sorted(upper[strip] + upper[strip + 3], key=lambda v: keys[v])
         regions.append(sorted(pool[:q]))

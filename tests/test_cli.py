@@ -134,10 +134,34 @@ def test_experiment_single_suite(tmp_path, capsys):
     assert data["pass"] is True
 
 
+# configuration files with one schema fault each
+_BAD_CONFIGS = {
+    "config-no-points": {"mode": "coordinates", "n": 3},
+    "config-not-object": [1],
+    "config-short-point": {"mode": "coordinates", "n": 3, "points": [[0, 0], [1], [2, 5]]},
+    "config-convex-no-n": {"mode": "convex"},
+    "config-float-point": {"mode": "coordinates", "n": 3,
+                           "points": [[0, 0], [1.5, 2], [3, 7]]},
+}
+
+
 def _malformed(tmp_path, kind):
-    """A decomposition file with one schema fault, and the command to run on it."""
+    """A configuration or decomposition file with one schema fault, and the
+    command to run on it."""
     out = tmp_path / "bad.json"
-    if kind == "no-parts":
+    if kind in _BAD_CONFIGS:
+        out.write_text(json.dumps(_BAD_CONFIGS[kind]))
+        return ["build", "edges", "--config", str(out), "--out", str(tmp_path / "e.json")]
+    if kind in ("decomp-config-list", "metadata-list"):
+        main(["build", "thm4", "-n", "9", "--out", str(out)])
+        data = json.loads(out.read_text())
+        if kind == "decomp-config-list":
+            data["config"] = [1, 2]
+            cmd = "verify"
+        else:
+            data["metadata"] = [1]
+            cmd = "stats"
+    elif kind == "no-parts":
         main(["build", "thm4", "-n", "9", "--out", str(out)])
         data = json.loads(out.read_text())
         del data["parts"]
@@ -167,7 +191,8 @@ def _malformed(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["no-parts", "convex-vertex", "coords-vertex",
-                                  "short-coloring", "negative-color"])
+                                  "short-coloring", "negative-color",
+                                  "decomp-config-list", "metadata-list", *_BAD_CONFIGS])
 def test_malformed_decomposition_exits_2(tmp_path, capsys, kind):
     argv = _malformed(tmp_path, kind)
     before = (tmp_path / "bad.json").read_bytes()

@@ -7,10 +7,9 @@ from geochroma.designs import (
     DesignError,
     FiniteField,
     cyclic_sts,
-    design_from_dict,
-    design_to_dict,
     difference_triples,
     pencil_through,
+    pencil_transversals,
     plane_order_supported,
     projective_plane,
     sts9,
@@ -109,6 +108,25 @@ def test_pencil_disjoint_residues():
         assert not set(a) & set(b)
 
 
+@pytest.mark.parametrize("q,m", [(q, m) for q in (3, 4, 5, 8, 9) for m in (4, 9)
+                                 if m <= q + 1])
+def test_pencil_transversals_match_line_intersections(q, m):
+    plane = projective_plane(q)
+    # oracle: plain set intersections, with the pencil rebuilt from incidences
+    through0 = [li for li, pts in enumerate(plane.line_points) if 0 in pts]
+    residues = [sorted(plane.line_points[li] - {0}) for li in through0[:m]]
+    off = [li for li, pts in enumerate(plane.line_points) if 0 not in pts]
+    got = pencil_transversals(plane, m)
+    assert len(got) == len(off) == q * q
+    for li, pos in zip(off, got):
+        assert len(pos) == m
+        for residue, idx in zip(residues, pos):
+            (common,) = plane.line_points[li] & set(residue)
+            assert residue[idx] == common
+    if m == 4:  # lines 0 and 3 are paired bijectively
+        assert {(t[0], t[3]) for t in got} == {(i, j) for i in range(q) for j in range(q)}
+
+
 def test_pencil_too_many_lines():
     p3 = projective_plane(3)
     with pytest.raises(DesignError):
@@ -129,7 +147,7 @@ def test_sts9_structure():
 
 def test_validate_design_reports_deletion():
     design, _ = sts9()
-    broken = BlockDesign(n=9, blocks=design.blocks[1:], kappa=3)
+    broken = BlockDesign(n=9, blocks=design.blocks[1:])
     rep = validate_design(broken)
     assert not rep["valid"]
     assert len(rep["uncovered"]) == 3  # each block covers three pairs
@@ -185,7 +203,3 @@ def test_cyclic_sts_wrong_n():
     with pytest.raises(DesignError):
         cyclic_sts(75, table)
 
-
-def test_design_json_round_trip():
-    design, _ = sts9()
-    assert design_from_dict(design_to_dict(design)) == design

@@ -27,6 +27,16 @@ from geochroma.cli import main
     pytest.param(["thm32", "-k", "4"],
                  "475f5baa5cb4175117d00246e283bf1580d8f51a32b9ab81588539f1e290918a",
                  id="thm32-k4"),
+    # uncolored families whose singleton edges complete the cover
+    pytest.param(["thm4", "-n", "48"],
+                 "96117f43d55a39d9f5491c0b261c99d52ed1bc9fd8152fc7111bf28985cc1ce2",
+                 id="thm4-n48"),
+    pytest.param(["edges", "-n", "7"],  # convex
+                 "e565bab3c0d03f513b665bc01bf8eab6baccdd5cd1de1b26d584e5c49a5b1aed",
+                 id="edges-n7"),
+    pytest.param(["thm3", "-n", "40", "--seed", "3"],  # q=4, with fan spill
+                 "058842a8e5767c9d8bfa1713629377d605afceaa780929bcaa8827830667c502",
+                 id="thm3-n40-spill"),
 ])
 def test_build_output_digest(tmp_path, args, digest):
     out = tmp_path / "out.json"

@@ -190,11 +190,3 @@ def test_six_parts_rejects_coordinates_above_bound():
     cfg = Configuration(mode="coordinates", n=6, points=tuple(pts))
     with pytest.raises(GeometryError):
         six_parts_two_parallel(cfg)
-
-
-def test_region_assignment_serialization():
-    cfg = generate_general_position(30, seed=2)
-    asg = six_parts_two_parallel(cfg)
-    d = asg.to_dict()
-    assert len(d["regions"]) == 6
-    assert len(d["cuts"]) == 3
