@@ -280,16 +280,6 @@ class AlgebraicX:
     def interval(self) -> tuple[Fraction, Fraction]:
         return self.a + self.b * SQRT6_LO, self.a + self.b * SQRT6_HI
 
-    def ratio_at_least(self, num: int, den: int) -> bool:
-        """True iff num/den <= a + b sqrt 6 ... used as `t >= n/x` via t*x >= n."""
-        # decides t*x >= n with t = den, n = num: den*(a+b sqrt6) - num >= 0
-        s = self.a * den - num
-        if self.b == 0:
-            return s >= 0
-        if s >= 0:
-            return True
-        return 6 * (self.b * den) ** 2 >= s * s
-
 
 def paper_x() -> AlgebraicX:
     """x = 2(3 + sqrt 6), the census threshold minimizing the bound constant."""
@@ -349,7 +339,7 @@ def triangle_census(d: Decomposition, c: Coloring, x=None) -> TriangleCensus:
         lengths[i] = t
         col = c.colors[i]
         per_class.setdefault(col, 0)
-        if xa.ratio_at_least(n, t):  # t >= n/x  <=>  t*x >= n
+        if xa.cmp_rational(Fraction(n, t)) >= 0:  # t >= n/x  <=>  x >= n/t
             per_class[col] += 1
     violations = sorted(col for col, cnt in per_class.items() if cnt > limit)
     return TriangleCensus(
@@ -443,7 +433,7 @@ def max_intersecting_family(config: Configuration, k: int, budget: int = 2_000_0
             sj = set(cands[j])
             if len(si & sj) > 1:
                 continue  # not edge-disjoint
-            if si & sj or parts_conflict(config, cands[i], cands[j]):
+            if parts_conflict(config, cands[i], cands[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     g = ConflictGraph(m=m, adj=tuple(adj))

@@ -113,7 +113,7 @@ def cmd_build(args) -> int:
     elif name == "thm4":
         if args.n is None:
             raise CliError("thm4 needs -n (multiple of 3)")
-        decomp = thm4_construction(args.n).decomposition
+        decomp, coloring = thm4_construction(args.n)
     elif name == "thm3":
         cfg = load_config(args.config) if args.config else None
         q = args.q
@@ -123,11 +123,10 @@ def cmd_build(args) -> int:
             q = largest_thm3_q(cfg.n if cfg is not None else args.n)
         if cfg is None and args.n is not None and args.n >= 7 * q + 6:
             cfg = generate_general_position(args.n, seed=args.seed)
-        decomp = thm3_construction(q, config=cfg, seed=args.seed).decomposition
+        decomp, coloring = thm3_construction(q, config=cfg, seed=args.seed)
     elif name == "thm5":
         cfg = _build_config(args, "coordinates")
-        res = thm5_construction(cfg, threshold=args.threshold)
-        decomp, coloring = res.decomposition, res.coloring
+        decomp, coloring = thm5_construction(cfg, threshold=args.threshold)
     elif name == "thm32":
         if args.k is None:
             raise CliError("thm32 needs -k (even, >= 4)")

@@ -6,9 +6,9 @@ gives each part a color.  The constructors here realize the explicit
 families: the trivial edge partition, the pairwise-intersecting K4 family on
 general-position points, the convex matching-triangle family, the recursive
 triangle decomposition, and the cyclic-STS triangle decomposition with its
-box coloring.  Each one hands its raw parts to one assembly step, _finalize,
-which sorts them and, for an uncolored family, turns every edge no part
-covers into a singleton part.
+box coloring.  Each family hands its raw parts to one assembly step,
+_finalize, which sorts them and, for an uncolored family, turns every edge no
+part covers into a singleton part; every family returns a Construction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -25,7 +24,6 @@ from .exactgeom import (
     config_from_dict,
     config_to_dict,
     convex_configuration,
-    edge,
     generate_general_position,
     parts_conflict,
     part_edges,
@@ -41,11 +39,13 @@ from .planecut import (
     _candidate_normals,
 )
 from .designs import (
+    BlockDesign,
     cyclic_sts,
     difference_triples,
     pencil_transversals,
     plane_order_supported,
     projective_plane,
+    validate_design,
 )
 
 
@@ -85,27 +85,36 @@ class Coloring:
     palette: int
 
 
+class Construction(NamedTuple):
+    """What every family builds: a decomposition of K_n and, for the colored
+    families (thm5, thm32), its coloring; None for thm3 and thm4."""
+
+    decomposition: Decomposition
+    coloring: Coloring | None
+
+    @property
+    def distinguished(self) -> list[int]:
+        """Indices of the parts with more than two vertices: the family
+        itself, as opposed to the singleton edges that complete the cover."""
+        return [i for i, p in enumerate(self.decomposition.parts) if len(p.vertices) > 2]
+
+    @property
+    def stats(self) -> dict:
+        return self.decomposition.metadata
+
+
 def validate_decomposition(d: Decomposition) -> dict:
     """Exact-cover report: every edge of K_n in exactly one part."""
     n = d.config.n
-    cover: dict[tuple[int, int], int] = {}
     for part in d.parts:
-        for e in part.edges():
-            cover[e] = cover.get(e, 0) + 1
         if part.vertices[-1] >= n or part.vertices[0] < 0:
             return {"uncovered": [], "repeated": [], "valid": False,
                     "error": f"part {part.vertices} out of range"}
-    uncovered = [
-        (u, v) for u, v in combinations(range(n), 2) if (u, v) not in cover
-    ]
-    repeated = [e for e, c in cover.items() if c > 1]
-    return {"uncovered": uncovered, "repeated": repeated,
-            "valid": not uncovered and not repeated}
+    return validate_design(BlockDesign(n, tuple(p.vertices for p in d.parts)))
 
 
-def _finalize(config, raw_parts, metadata, colors=None):
-    """Sort parts lexicographically by vertex list; return (decomposition,
-    coloring).
+def _finalize(config, raw_parts, metadata, colors=None) -> Construction:
+    """Sort parts lexicographically by vertex list into a Construction.
 
     With colors, the coloring follows the parts into the new order.  Without,
     the coloring is None and every edge of K_n that no raw part covers first
@@ -121,31 +130,20 @@ def _finalize(config, raw_parts, metadata, colors=None):
     parts = [raw_parts[i] for i in order]
     decomp = Decomposition(config=config, parts=parts, metadata=metadata)
     if colors is None:
-        return decomp, None
+        return Construction(decomp, None)
     remapped = tuple(colors[i] for i in order)
-    return decomp, Coloring(colors=remapped, palette=max(remapped) + 1)
-
-
-def _distinguished(decomp: Decomposition) -> list[int]:
-    """Indices of the parts with more than two vertices: the family itself,
-    as opposed to the singleton edges that complete the cover."""
-    return [i for i, p in enumerate(decomp.parts) if len(p.vertices) > 2]
+    return Construction(decomp, Coloring(colors=remapped, palette=max(remapped) + 1))
 
 
 def trivial_edge_decomposition(config: Configuration) -> Decomposition:
     if config.n < 2:
         raise ConstructionError("need n >= 2")
-    return _finalize(config, [], {"construction": "edges", "n": config.n})[0]
+    return _finalize(config, [], {"construction": "edges", "n": config.n}).decomposition
 
 
 # --- thm4: convex matching-triangle family --------------------------------------
 
-class ConvexTriangleFamily(NamedTuple):
-    decomposition: Decomposition
-    distinguished: list[int]
-
-
-def thm4_construction(n: int) -> ConvexTriangleFamily:
+def thm4_construction(n: int) -> Construction:
     """(n/3)^2 edge-disjoint, pairwise-intersecting triangles on convex n points.
 
     Vertices split into three arcs; the bipartite edges between the second and
@@ -167,17 +165,10 @@ def thm4_construction(n: int) -> ConvexTriangleFamily:
         "n": n,
         "distinguished_triangles": m * m,
     }
-    decomp, _ = _finalize(config, raw, meta)
-    return ConvexTriangleFamily(decomp, _distinguished(decomp))
+    return _finalize(config, raw, meta)
 
 
 # --- thm3: K4 family on points in general position -------------------------------
-
-class K4Family(NamedTuple):
-    decomposition: Decomposition
-    distinguished: list[int]
-    center: tuple[Fraction, Fraction]
-
 
 def largest_thm3_q(n: int) -> int:
     """Largest supported prime power q with 7q + 6 <= n."""
@@ -189,7 +180,7 @@ def largest_thm3_q(n: int) -> int:
     return q
 
 
-def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0) -> K4Family:
+def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0) -> Construction:
     """2q^2 edge-disjoint pairwise-intersecting K4 subgraphs on >= 7q+6 points.
 
     A strip of q points receives the fourth labels; a six-fan splits the rest
@@ -246,22 +237,16 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
         "fan_spill": len(fan.spill),
         "strip": v4,
     }
-    decomp, _ = _finalize(config, raw, meta)
-    return K4Family(decomp, _distinguished(decomp), fan.center)
+    return _finalize(config, raw, meta)
 
 
 # --- thm32: cyclic STS box coloring -----------------------------------------------
-
-class ColoredDecomposition(NamedTuple):
-    decomposition: Decomposition
-    coloring: Coloring
-
 
 def _anchored_block(n, anchor, d1, d2):
     return tuple(sorted((anchor % n, (anchor + d1) % n, (anchor + d1 + d2) % n)))
 
 
-def thm32_construction(k: int) -> ColoredDecomposition:
+def thm32_construction(k: int) -> Construction:
     """Triangle decomposition of the convex (18k+1)-gon with n(k/2+1) colors.
 
     Parts are the blocks of the cyclic STS generated from the difference-triple
@@ -300,7 +285,7 @@ def thm32_construction(k: int) -> ColoredDecomposition:
             raise ConstructionError(f"box {box}: chains overflow the cycle")
         blocks = [_anchored_block(n, a, t[0], t[1]) for t, a in placed]
         for (ta, ba), (tb, bb) in combinations(zip([p[0] for p in placed], blocks), 2):
-            if set(ba) & set(bb) or parts_conflict(config, ba, bb):
+            if parts_conflict(config, ba, bb):
                 raise ConstructionError(
                     f"box {box}: triples {ta} and {tb} conflict when placed"
                 )
@@ -320,6 +305,9 @@ def thm32_construction(k: int) -> ColoredDecomposition:
 
     raw = [Part(vertices=blk, tag="triangle") for blk in design.blocks]
     colors = [block_color[p.vertices] for p in raw]
+    palette = max(colors) + 1
+    if palette != n * (k // 2 + 1):
+        raise ConstructionError(f"palette {palette} != n(k/2+1) = {n * (k // 2 + 1)}")
     meta = {
         "construction": "thm32",
         "k": k,
@@ -327,32 +315,32 @@ def thm32_construction(k: int) -> ColoredDecomposition:
         "colors": n * (k // 2 + 1),
         "blocks": len(design.blocks),
     }
-    decomp, coloring = _finalize(config, raw, meta, colors=colors)
-    if coloring.palette != n * (k // 2 + 1):
-        raise ConstructionError(
-            f"palette {coloring.palette} != n(k/2+1) = {n * (k // 2 + 1)}"
-        )
-    return ColoredDecomposition(decomp, coloring)
+    return _finalize(config, raw, meta, colors=colors)
 
 
 # --- thm5: recursive triangle decomposition ---------------------------------------
 
-class RecursiveTriangles(NamedTuple):
-    decomposition: Decomposition
-    coloring: Coloring
-    stats: dict
+# the 12 STS(9) triangles of one K9 (positions 0..8, position i sits in region
+# R_{i+1}) in placement order, as (positions, color slot, tag): the
+# within-strip class shares one color, the cut-separated pair shares another,
+# its solo mate and each diagonal triangle get their own
+_K9_TRIANGLES = (
+    ((0, 3, 6), "within", "triangle-W0"),
+    ((1, 4, 7), "within", "triangle-W1"),
+    ((2, 5, 8), "within", "triangle-W2"),
+    ((0, 1, 2), "pair", "triangle-P0"),
+    ((3, 4, 5), "pair", "triangle-P1"),
+    ((6, 7, 8), "solo", "triangle-S"),
+    ((0, 4, 8), "diag0", "triangle-D0"),
+    ((1, 5, 6), "diag1", "triangle-D1"),
+    ((2, 3, 7), "diag2", "triangle-D2"),
+    ((0, 5, 7), "diag3", "triangle-D3"),
+    ((1, 3, 8), "diag4", "triangle-D4"),
+    ((2, 4, 6), "diag5", "triangle-D5"),
+)
 
 
-# within one K9 (positions 0..8, position i sits in region R_{i+1}):
-# the within-strip class, the cut-separated pair plus its solo mate, and the
-# two diagonal classes of STS(9)
-_K9_WITHIN = ((0, 3, 6), (1, 4, 7), (2, 5, 8))
-_K9_PAIR = ((0, 1, 2), (3, 4, 5))
-_K9_SOLO = (6, 7, 8)
-_K9_DIAG = ((0, 4, 8), (1, 5, 6), (2, 3, 7), (0, 5, 7), (1, 3, 8), (2, 4, 6))
-
-
-def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTriangles:
+def thm5_construction(config: Configuration, threshold: int = 72) -> Construction:
     """Mostly-triangle decomposition with a proper coloring, built recursively.
 
     At each level with at least `threshold` points, a nine-region refinement
@@ -409,29 +397,16 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
         for pos in transversals:
             verts9 = [regions[a][idx] for a, idx in enumerate(pos)]
             slots: dict[str, int] = {}
-
-            def color_for(key):
-                nonlocal ncolors
-                if key not in slots:
-                    slots[key] = ncolors
-                    ncolors += 1
-                return slots[key]
-
-            def try_triangle(posns, key, tag):
+            for posns, slot, tag in _K9_TRIANGLES:
                 tri = tuple(sorted(verts9[p] for p in posns))
-                ek = [edge(tri[0], tri[1]), edge(tri[0], tri[2]), edge(tri[1], tri[2])]
+                ek = ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))
                 if any(e in used for e in ek):
-                    return
+                    continue
                 used.update(ek)
-                tri_entries.append((tri, tag, color_for(key)))
-
-            for t_i, posns in enumerate(_K9_WITHIN):
-                try_triangle(posns, "within", f"triangle-W{t_i}")
-            for t_i, posns in enumerate(_K9_PAIR):
-                try_triangle(posns, "pair", f"triangle-P{t_i}")
-            try_triangle(_K9_SOLO, "solo", "triangle-S")
-            for t_i, posns in enumerate(_K9_DIAG):
-                try_triangle(posns, f"diag{t_i}", f"triangle-D{t_i}")
+                if slot not in slots:
+                    slots[slot] = ncolors
+                    ncolors += 1
+                tri_entries.append((tri, tag, slots[slot]))
 
         strip_of = {}
         for si, strip in enumerate(strips_global):
@@ -466,7 +441,8 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
     single_palette = _color_singletons(config, single_edges, tri_colors, raw, colors)
 
     total_edges = n * (n - 1) // 2
-    stats = {
+    meta = {
+        "construction": "thm5",
         "n": n,
         "threshold": threshold,
         "triangles": len(tri_entries),
@@ -477,9 +453,7 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> RecursiveTr
         "colors": tri_colors + single_palette,
         "levels": levels,
     }
-    meta = {"construction": "thm5", **stats}
-    decomp, coloring = _finalize(config, raw, meta, colors=colors)
-    return RecursiveTriangles(decomp, coloring, stats)
+    return _finalize(config, raw, meta, colors=colors)
 
 
 def _edges_cross(config, e1, e2) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 from .exactgeom import (
@@ -116,6 +117,7 @@ def criterion_thm3():
             d = fam.decomposition
             dist = fam.distinguished
             strip = set(d.metadata["strip"])
+            center = tuple(map(Fraction, d.metadata["fan_center"]))
             pts = d.config.points
             cover = validate_decomposition(d)["valid"]
             disjoint = all(
@@ -126,7 +128,7 @@ def criterion_thm3():
             for pi in dist:
                 tri = [v for v in d.parts[pi].vertices if v not in strip]
                 if len(tri) == 3 and point_in_triangle(
-                    fam.center, pts[tri[0]], pts[tri[1]], pts[tri[2]]
+                    center, pts[tri[0]], pts[tri[1]], pts[tri[2]]
                 ):
                     inside += 1
             pairs = len(dist) * (len(dist) - 1) // 2
@@ -334,13 +336,13 @@ def criterion_searches():
     tri = max_intersecting_family(cfg6, 3)
     tri_cert = all(
         len(set(a) & set(b)) <= 1
-        and (set(a) & set(b) or parts_conflict(cfg6, a, b))
+        and parts_conflict(cfg6, a, b)
         for a, b in combinations(tri.family, 2)
     )
     cfg5 = convex_configuration(5)
     edg = max_intersecting_family(cfg5, 2)
     edg_cert = all(
-        set(a) & set(b) or parts_conflict(cfg5, a, b)
+        parts_conflict(cfg5, a, b)
         for a, b in combinations(edg.family, 2)
     )
     passed = tri.exact and edg.exact and tri_cert and edg_cert

@@ -40,7 +40,7 @@ def test_conflict_graph_convex4():
     assert (g.adj[idx[(0, 1)]] >> idx[(0, 3)]) & 1  # shared vertex
 
 
-def test_conflict_graph_thm4_distinguished_clique():
+def test_conflict_graph_thm4_family_clique():
     fam = thm4_construction(9)
     g = conflict_graph(fam.decomposition)
     for i, j in combinations(fam.distinguished, 2):

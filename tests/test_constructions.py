@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,8 @@ from geochroma.exactgeom import (
     point_in_triangle,
 )
 from geochroma.constructions import (
+    Coloring,
+    Construction,
     ConstructionError,
     Decomposition,
     Part,
@@ -40,16 +43,21 @@ def test_trivial_edges():
     assert [p.vertices for p in d.parts] == sorted(p.vertices for p in d.parts)
 
 
-def test_validate_reports_duplicate_part():
+@pytest.mark.parametrize("edit,report", [
+    # C(3,2) edges now covered twice
+    pytest.param(lambda parts: parts + [Part(vertices=(0, 1, 2), tag="dup")],
+                 {"uncovered": [], "repeated": [(0, 1), (0, 2), (1, 2)]},
+                 id="duplicate"),
+    pytest.param(lambda parts: parts + [Part(vertices=(2, 4))],
+                 {"uncovered": [], "repeated": [], "error": "part (2, 4) out of range"},
+                 id="out-of-range"),
+    pytest.param(lambda parts: parts[1:], {"uncovered": [(0, 1)], "repeated": []},
+                 id="uncovered"),
+])
+def test_validate_reports_duplicate_part(edit, report):
     d = trivial_edge_decomposition(convex_configuration(4))
-    dup = Decomposition(
-        config=d.config,
-        parts=d.parts + [Part(vertices=(0, 1, 2), tag="dup")],
-        metadata={},
-    )
-    rep = validate_decomposition(dup)
-    assert not rep["valid"]
-    assert len(rep["repeated"]) == 3  # C(3,2) edges now covered twice
+    bad = Decomposition(config=d.config, parts=edit(d.parts), metadata={})
+    assert validate_decomposition(bad) == {**report, "valid": False}
 
 
 def test_star_parts_pairwise_conflict():
@@ -87,6 +95,7 @@ def test_thm3_family(q, seed):
     assert validate_decomposition(d)["valid"]
     strip = set(d.metadata["strip"])
     assert len(strip) == q
+    center = tuple(map(Fraction, d.metadata["fan_center"]))
     pts = d.config.points
     for i, j in combinations(fam.distinguished, 2):
         a, b = d.parts[i].vertices, d.parts[j].vertices
@@ -97,10 +106,32 @@ def test_thm3_family(q, seed):
         assert len(vs) == 4
         tri = [v for v in vs if v not in strip]
         assert len(tri) == 3
-        # the fan center lies inside the K4 minus its strip vertex
-        assert point_in_triangle(fam.center, pts[tri[0]], pts[tri[1]], pts[tri[2]])
+        # the fan center, as a file reader gets it, lies inside the K4 minus
+        # its strip vertex
+        assert point_in_triangle(center, pts[tri[0]], pts[tri[1]], pts[tri[2]])
     tags = {d.parts[i].tag.split("(")[0] for i in fam.distinguished}
     assert tags == {"X", "Y"}
+
+
+def test_every_construction_returns_one_shape():
+    for build, colored in (
+        (lambda: thm3_construction(3, seed=1), False),
+        (lambda: thm4_construction(9), False),
+        (lambda: thm5_construction(generate_general_position(100, seed=7)), True),
+        (lambda: thm32_construction(4), True),
+    ):
+        res = build()
+        assert isinstance(res, Construction)
+        decomp, coloring = res
+        assert decomp is res.decomposition and coloring is res.coloring
+        assert isinstance(decomp, Decomposition)
+        assert (coloring is None) == (not colored)
+        if colored:
+            assert isinstance(coloring, Coloring)
+        assert res.distinguished == [
+            i for i, p in enumerate(decomp.parts) if len(p.vertices) > 2
+        ]
+        assert res.stats is decomp.metadata
 
 
 def test_thm3_rejects_bad_q():

@@ -154,3 +154,72 @@ def test_point_in_triangle_closed_vs_open():
     assert not point_in_triangle((2, 0), a, b, c)  # on the boundary
     assert point_in_triangle((2, 0), a, b, c, closed=True)
     assert not point_in_triangle((5, 5), a, b, c, closed=True)
+
+
+# --- property tests (hypothesis; skipped when it is not installed) -----------------
+
+@pytest.fixture
+def hyp():
+    return pytest.importorskip("hypothesis")
+
+
+def _settings(hyp, examples):
+    # derandomized and without an example database, so the suite repeats exactly
+    return hyp.settings(max_examples=examples, deadline=None, database=None,
+                        derandomize=True)
+
+
+def _points(hyp, k, lo=-COORD_BOUND, hi=COORD_BOUND):
+    coord = hyp.strategies.integers(lo, hi)
+    return hyp.strategies.tuples(*[hyp.strategies.builds(Point, coord, coord)] * k)
+
+
+def test_orient_swap_and_rotation_property(hyp):
+    @_settings(hyp, 200)
+    @hyp.given(_points(hyp, 3))
+    def check(pqr):
+        p, q, r = pqr
+        s = orient(p, q, r)
+        assert orient(q, p, r) == -s
+        assert orient(q, r, p) == s
+
+    check()
+
+
+def test_proper_cross_symmetry_and_invariance_property(hyp):
+    st = hyp.strategies
+    shift = st.integers(-COORD_BOUND, COORD_BOUND)
+
+    # a small grid makes crossings, shared endpoints and collinear triples common
+    @_settings(hyp, 200)
+    @hyp.given(_points(hyp, 4, -8, 8), shift, shift, st.integers(-5, 5))
+    def check(abcd, dx, dy, k):
+        a, b, c, d = abcd
+        x = proper_cross(a, b, c, d)
+        assert x == proper_cross(c, d, a, b)
+        assert x == proper_cross(b, a, c, d) == proper_cross(a, b, d, c)
+        moved = [Point(p.x + dx, p.y + dy) for p in abcd]
+        assert x == proper_cross(*moved)
+        sheared = [Point(p.x + k * p.y, p.y) for p in abcd]
+        assert x == proper_cross(*sheared)
+
+    check()
+
+
+def test_convex_cross_matches_parabola_property(hyp):
+    st = hyp.strategies
+
+    def edge_in(n):
+        return st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                        unique=True).map(tuple)
+
+    @_settings(hyp, 200)
+    @hyp.given(st.integers(4, 60).flatmap(
+        lambda n: st.tuples(st.just(n), edge_in(n), edge_in(n))))
+    def check(case):
+        n, e1, e2 = case
+        pts = [Point(i, i * i) for i in range(n)]
+        geometric = proper_cross(pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
+        assert convex_cross(n, e1, e2) == geometric
+
+    check()
