@@ -1,11 +1,15 @@
 """Conflict graphs, colorings, clique index, census and bound evaluators.
 
-Conflict graphs are stored as bitmask adjacency rows.  The exact solvers are
-deterministic: DSATUR ties break to the lowest part index, the exact colorer
-deepens the palette one color at a time branching on the lowest-index
-uncolored part, and the clique search explores candidates in ascending order.
-All threshold comparisons involving the irrational census parameter are
-decided by exact integer arithmetic (squaring), never floating point.
+Conflict graphs are stored as bitmask adjacency rows, built by one pairwise
+helper.  The exact solvers are deterministic and keep their own explicit
+stacks, so no search depth is limited by Python's recursion limit: DSATUR ties
+break to the lowest part index, the exact colorer deepens the palette one
+color at a time branching on the lowest-index uncolored part, and the clique
+search explores candidates in ascending order.  The maximum intersecting
+family and tau(p) searches are maximum-clique queries on graphs built by the
+same helper.  All threshold comparisons involving the irrational census
+parameter are decided by exact integer arithmetic (squaring), never floating
+point.
 """
 
 from __future__ import annotations
@@ -13,18 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
-from .exactgeom import Configuration, parts_conflict, point_in_triangle, part_edges
+from .exactgeom import Configuration, parts_conflict, point_in_triangle
 from .constructions import Coloring, Decomposition
 
 
 class ChromaError(ValueError):
-    pass
-
-
-class _BudgetExceeded(Exception):
     pass
 
 
@@ -43,17 +44,22 @@ def _bits(x: int):
         x ^= b
 
 
-def conflict_graph(d: Decomposition) -> ConflictGraph:
-    """All-pairs conflict relation; quadratic in the number of parts."""
-    m = len(d.parts)
+def _graph(items, related) -> ConflictGraph:
+    """Bitmask rows of the relation `related` over all pairs of `items`."""
+    m = len(items)
     adj = [0] * m
     for i in range(m):
-        vi = d.parts[i].vertices
+        a = items[i]
         for j in range(i + 1, m):
-            if parts_conflict(d.config, vi, d.parts[j].vertices):
+            if related(a, items[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return ConflictGraph(m=m, adj=tuple(adj))
+
+
+def conflict_graph(d: Decomposition) -> ConflictGraph:
+    """All-pairs conflict relation; quadratic in the number of parts."""
+    return _graph([p.vertices for p in d.parts], partial(parts_conflict, d.config))
 
 
 def verify_coloring(d: Decomposition, c: Coloring) -> list[tuple[int, int]]:
@@ -75,7 +81,7 @@ def greedy_color(g: ConflictGraph) -> Coloring:
     """DSATUR: highest saturation first, ties to the lowest part index."""
     m = g.m
     if m == 0:
-        return Coloring(colors=(), palette=0)
+        return Coloring(colors=())
     colors = [-1] * m
     neigh: list[set[int]] = [set() for _ in range(m)]
     for _ in range(m):
@@ -89,7 +95,7 @@ def greedy_color(g: ConflictGraph) -> Coloring:
         colors[best] = c
         for j in _bits(g.adj[best]):
             neigh[j].add(c)
-    return Coloring(colors=tuple(colors), palette=max(colors) + 1)
+    return Coloring(colors=tuple(colors))
 
 
 # --- maximum clique -------------------------------------------------------------
@@ -102,41 +108,42 @@ class CliqueResult(NamedTuple):
 
 def clique_index(g: ConflictGraph, budget: int = 2_000_000) -> CliqueResult:
     """Maximum pairwise-adjacent part family; exact when the search finishes
-    within the node budget, otherwise the best clique found so far."""
-    m = g.m
-    if m == 0:
-        return CliqueResult(0, True, [])
+    within the node budget, otherwise the best clique found so far.
+
+    Branch and bound with a pivot: each node counts against the budget, and
+    its candidates are the parts not adjacent to the one with the most
+    neighbors among those left, taken in ascending order."""
     adj = g.adj
-    best = {"size": 0, "members": []}
-    nodes = [0]
-
-    def expand(R: list[int], P: int):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise _BudgetExceeded
+    best: list[int] = []
+    stack: list[list] = []  # frames [R, P, candidates]
+    R, P = [], (1 << g.m) - 1
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > budget:
+            return CliqueResult(len(best), False, sorted(best))
         if P == 0:
-            if len(R) > best["size"]:
-                best["size"], best["members"] = len(R), list(R)
-            return
-        if len(R) + P.bit_count() <= best["size"]:
-            return
-        pivot, pbest = -1, -1
-        for u in _bits(P):
-            c = (P & adj[u]).bit_count()
-            if c > pbest:
-                pivot, pbest = u, c
-        for v in _bits(P & ~adj[pivot]):
-            expand(R + [v], P & adj[v])
-            P &= ~(1 << v)
-        if len(R) > best["size"]:
-            best["size"], best["members"] = len(R), list(R)
-
-    exact = True
-    try:
-        expand([], (1 << m) - 1)
-    except _BudgetExceeded:
-        exact = False
-    return CliqueResult(best["size"], exact, sorted(best["members"]))
+            if len(R) > len(best):
+                best = R
+        elif len(R) + P.bit_count() > len(best):
+            pivot, pbest = -1, -1
+            for u in _bits(P):
+                c = (P & adj[u]).bit_count()
+                if c > pbest:
+                    pivot, pbest = u, c
+            stack.append([R, P, P & ~adj[pivot]])
+        while stack:
+            frame = stack[-1]
+            R, P, cands = frame
+            if cands:
+                v = (cands & -cands).bit_length() - 1
+                frame[1] = P & ~(1 << v)
+                frame[2] = cands & (cands - 1)
+                R, P = R + [v], P & adj[v]
+                break
+            stack.pop()
+        else:
+            return CliqueResult(len(best), True, sorted(best))
 
 
 # --- exact chromatic index --------------------------------------------------------
@@ -153,35 +160,33 @@ def exact_chromatic_index(g: ConflictGraph, budget: int = 2_000_000) -> Chromati
     a DSATUR upper bound; bounds are always sound, exact when closed in budget."""
     m = g.m
     if m == 0:
-        return ChromaticBounds(0, 0, True, Coloring((), 0))
+        return ChromaticBounds(0, 0, True, Coloring(()))
     greedy = greedy_color(g)
     ub = greedy.palette
-    best_col = greedy
     cl = clique_index(g, budget=min(budget, 300_000))
     lb = max(1, cl.size)
-    remaining = [budget]
     for k in range(lb, ub):
-        res = _try_color(g, k, cl.members, remaining)
+        res, budget = _try_color(g, k, cl.members, budget)
         if res is None:
-            return ChromaticBounds(lb, ub, False, best_col)
+            return ChromaticBounds(lb, ub, False, greedy)
         if res is False:
             lb = k + 1
             continue
-        return ChromaticBounds(k, k, True, Coloring(tuple(res), k))
-    return ChromaticBounds(ub, ub, True, best_col)
+        return ChromaticBounds(k, k, True, Coloring(tuple(res)))
+    return ChromaticBounds(ub, ub, True, greedy)
 
 
-def _try_color(g: ConflictGraph, k: int, seed_clique: list[int], remaining: list[int]):
-    """Find a k-coloring (tuple), prove impossibility (False), or run out of
-    budget (None).  Branch on the lowest-index uncolored part, colors ascending,
-    never opening more than one fresh color."""
+def _try_color(g: ConflictGraph, k: int, seed_clique: list[int], budget: int):
+    """Find a k-coloring (list), prove impossibility (False), or run out of
+    budget (None); returned with the budget left.  Branch on the lowest-index
+    uncolored part, colors ascending, never opening more than one fresh color;
+    each node costs one unit of budget."""
     m = g.m
     adj = g.adj
     if len(seed_clique) > k:
-        return False
-    full = (1 << k) - 1
+        return False, budget
     colors = [-1] * m
-    avail = [full] * m
+    avail = [(1 << k) - 1] * m
 
     def assign(v: int, c: int, trail: list[int]) -> bool:
         colors[v] = c
@@ -194,53 +199,39 @@ def _try_color(g: ConflictGraph, k: int, seed_clique: list[int], remaining: list
                     return False
         return True
 
-    pre_trail: list[int] = []
     for ci, v in enumerate(seed_clique):
-        if not assign(v, ci, pre_trail):
-            return False
-    max_used = [max(len(seed_clique) - 1, -1)]
-
-    def undo(v: int, c: int, trail: list[int]):
-        colors[v] = -1
-        bit = 1 << c
-        for u in trail:
-            avail[u] |= bit
-
-    def dfs() -> bool | None:
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            return None
-        v = -1
-        for i in range(m):
-            if colors[i] < 0:
-                v = i
+        if not assign(v, ci, []):
+            return False, budget
+    stack: list[list] = []  # frames [part, options left, color tried, trail, colors open]
+    opened = len(seed_clique)
+    while True:
+        budget -= 1
+        if budget < 0:
+            return None, budget
+        try:
+            v = colors.index(-1)
+        except ValueError:
+            return colors, budget
+        stack.append([v, avail[v] & ((1 << min(k, opened + 1)) - 1), -1, [], opened])
+        while stack:
+            frame = stack[-1]
+            v, options, c, trail, opened = frame
+            if c >= 0:
+                colors[v] = -1
+                bit = 1 << c
+                for u in trail:
+                    avail[u] |= bit
+            if not options:
+                stack.pop()
+                continue
+            c = (options & -options).bit_length() - 1
+            trail = []
+            frame[1:4] = options & (options - 1), c, trail
+            opened = max(opened, c + 1)
+            if assign(v, c, trail):
                 break
-        if v < 0:
-            return True
-        cap = min(k - 1, max_used[0] + 1)
-        options = avail[v] & ((1 << (cap + 1)) - 1)
-        for c in _bits(options):
-            trail: list[int] = []
-            ok = assign(v, c, trail)
-            bumped = False
-            if c > max_used[0]:
-                max_used[0] = c
-                bumped = True
-            if ok:
-                sub = dfs()
-                if sub:
-                    return True
-                if sub is None:
-                    return None
-            if bumped:
-                max_used[0] = c - 1
-            undo(v, c, trail)
-        return False
-
-    res = dfs()
-    if res is True:
-        return list(colors)
-    return res
+        else:
+            return False, budget
 
 
 # --- exact algebraic census threshold ----------------------------------------------
@@ -414,6 +405,11 @@ def bound_evaluators(n: int, variant: str, c=0, x=None) -> BoundValue:
 
 # --- exhaustive searches ---------------------------------------------------------------
 
+def _edge_disjoint(a, b) -> bool:
+    """Parts of at most three vertices share an edge iff they share two vertices."""
+    return len(set(a).intersection(b)) < 2
+
+
 class FamilyResult(NamedTuple):
     family: list[tuple[int, ...]]
     exact: bool
@@ -421,22 +417,11 @@ class FamilyResult(NamedTuple):
 
 def max_intersecting_family(config: Configuration, k: int, budget: int = 2_000_000) -> FamilyResult:
     """Maximum family of pairwise-conflicting, pairwise edge-disjoint k-vertex
-    parts, by exhaustive clique search over all candidate parts."""
+    parts: a maximum clique over all candidate parts."""
     if k not in (2, 3):
         raise ChromaError("part size must be 2 or 3")
-    cands = [tuple(t) for t in combinations(range(config.n), k)]
-    m = len(cands)
-    adj = [0] * m
-    for i in range(m):
-        si = set(cands[i])
-        for j in range(i + 1, m):
-            sj = set(cands[j])
-            if len(si & sj) > 1:
-                continue  # not edge-disjoint
-            if parts_conflict(config, cands[i], cands[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    g = ConflictGraph(m=m, adj=tuple(adj))
+    cands = list(combinations(range(config.n), k))
+    g = _graph(cands, lambda a, b: _edge_disjoint(a, b) and parts_conflict(config, a, b))
     res = clique_index(g, budget=budget)
     return FamilyResult([cands[i] for i in res.members], res.exact)
 
@@ -448,7 +433,8 @@ class TauResult(NamedTuple):
 
 def tau_point(config: Configuration, p, budget: int = 500_000) -> TauResult:
     """Largest number of edge-disjoint triangles whose closed triangle
-    contains p, exact by exhaustive search within budget."""
+    contains p: a maximum clique of the edge-disjointness graph on those
+    triangles, exact when the search closes within budget."""
     if config.mode != "coordinates":
         raise ChromaError("tau_point needs a coordinates configuration")
     pts = config.points
@@ -460,24 +446,5 @@ def tau_point(config: Configuration, p, budget: int = 500_000) -> TauResult:
         for tri in combinations(range(config.n), 3)
         if point_in_triangle((px, py), pts[tri[0]], pts[tri[1]], pts[tri[2]], closed=True)
     ]
-    cand_edges = [frozenset(part_edges(t)) for t in cands]
-    best = [0]
-    nodes = [0]
-
-    def dfs(i: int, used: frozenset, count: int) -> bool:
-        nodes[0] += 1
-        if nodes[0] > budget:
-            return False
-        if count > best[0]:
-            best[0] = count
-        if count + (len(cands) - i) <= best[0]:
-            return True
-        ok = True
-        for j in range(i, len(cands)):
-            if not (cand_edges[j] & used):
-                if not dfs(j + 1, used | cand_edges[j], count + 1):
-                    ok = False
-        return ok
-
-    exact = dfs(0, frozenset(), 0)
-    return TauResult(best[0], exact)
+    res = clique_index(_graph(cands, _edge_disjoint), budget=budget)
+    return TauResult(res.size, res.exact)

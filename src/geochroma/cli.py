@@ -26,7 +26,6 @@ import time
 
 from . import __version__
 from .exactgeom import (
-    GeometryError,
     config_to_dict,
     convex_configuration,
     generate_general_position,
@@ -308,8 +307,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GeometryError, ConstructionError, PlanecutError,
-            ValueError, FileNotFoundError) as exc:
+    except (CliError, ConstructionError, PlanecutError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

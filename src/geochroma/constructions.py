@@ -82,7 +82,10 @@ class Coloring:
     """Part index -> 0-based color id."""
 
     colors: tuple[int, ...]
-    palette: int
+
+    @property
+    def palette(self) -> int:
+        return max(self.colors, default=-1) + 1
 
 
 class Construction(NamedTuple):
@@ -132,7 +135,7 @@ def _finalize(config, raw_parts, metadata, colors=None) -> Construction:
     if colors is None:
         return Construction(decomp, None)
     remapped = tuple(colors[i] for i in order)
-    return Construction(decomp, Coloring(colors=remapped, palette=max(remapped) + 1))
+    return Construction(decomp, Coloring(colors=remapped))
 
 
 def trivial_edge_decomposition(config: Configuration) -> Decomposition:
@@ -201,7 +204,7 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
 
     split = None
     for w in _candidate_normals(pts, first=(0, 1)):
-        split = _projection_split(pts, range(n), w, q)
+        split = _projection_split(pts, w, q)
         if split is not None:
             break
     if split is None:
@@ -540,7 +543,7 @@ def decomposition_from_dict(data: dict):
             raise ConstructionError(
                 f'"coloring" must list one non-negative int per part ({len(parts)})'
             )
-        coloring = Coloring(colors=tuple(cols), palette=max(cols) + 1 if cols else 0)
+        coloring = Coloring(colors=tuple(cols))
     return d, coloring
 
 

@@ -133,13 +133,13 @@ def _candidate_normals(pts, first=None):
                 yield w
 
 
-def _projection_split(pts, idxs, w, rank):
+def _projection_split(pts, w, rank):
     """CutLine with normal w separating the `rank` lowest projections.
 
     Returns (low, high, line) or None when the boundary projections tie.
     """
     wx, wy = w
-    proj = sorted((wx * pts[i].x + wy * pts[i].y, i) for i in idxs)
+    proj = sorted((wx * p.x + wy * p.y, i) for i, p in enumerate(pts))
     lo_v = proj[rank - 1][0]
     hi_v = proj[rank][0]
     if lo_v == hi_v:
@@ -222,11 +222,11 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
     ys = np.array([p.y for p in pts], dtype=np.int64)
 
     def attempt(t, w):
-        low_split = _projection_split(pts, range(n), w, t)
+        low_split = _projection_split(pts, w, t)
         if low_split is None:
             return None
         B, rest, line_lo = low_split
-        high_split = _projection_split(pts, range(n), w, n - t)
+        high_split = _projection_split(pts, w, n - t)
         if high_split is None:
             return None
         _, A, line_hi = high_split
@@ -245,7 +245,7 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
     hit = None
     for cap in (48, None):
         for t in t_order:
-            for i, w in enumerate(_candidate_normals(pts, first=(1, 0))):
+            for i, w in enumerate(_candidate_normals(pts)):
                 if cap is not None and i >= cap:
                     break
                 hit = attempt(t, w)
@@ -291,7 +291,6 @@ def _ham_sandwich(pts, xs, ys, label, A, B, lo):
     candidate (in lexicographic order, nudges tried in a fixed order) wins.
     Returns (CutLine, side array) or None.
     """
-    n = len(pts)
     for ia in sorted(A):
         Pa = pts[ia]
         for ib in sorted(B):
@@ -329,8 +328,8 @@ def _clear_center(fx: Fraction, fy: Fraction) -> tuple[int, int, int]:
     return int(fx * den), int(fy * den), den
 
 
-def _dir_vectors(pts, idxs, PX, PY, PD):
-    return {i: (pts[i].x * PD - PX, pts[i].y * PD - PY) for i in idxs}
+def _dir_vectors(pts, PX, PY, PD):
+    return {i: (p.x * PD - PX, p.y * PD - PY) for i, p in enumerate(pts)}
 
 
 def _cross(v1, v2) -> int:
@@ -348,13 +347,13 @@ def _sort_halfplane(dirs, idxs):
     return sorted(idxs, key=functools.cmp_to_key(cmp))
 
 
-def _ray_between(dirs, i, j, all_dirs):
+def _ray_between(dirs, i, j):
     """Integer direction strictly between dirs[i] and dirs[j] (consecutive in
     angle), not parallel to any point direction."""
     v1, v2 = dirs[i], dirs[j]
-    for k in range(1, len(all_dirs) + 3):
+    for k in range(1, len(dirs) + 3):
         cand = (v1[0] * k + v2[0], v1[1] * k + v2[1])
-        if all(_cross(cand, d) != 0 for d in all_dirs.values()):
+        if all(_cross(cand, d) != 0 for d in dirs.values()):
             return cand
     raise PlanecutError("no clean ray direction found")  # pragma: no cover
 
@@ -374,12 +373,10 @@ def six_fan(config: Configuration, q: int) -> RegionAssignment:
         raise PlanecutError(f"six_fan needs m >= 6q (m={m}, q={q})")
 
     for w in _candidate_normals(pts, first=(0, 1)):
-        split = _projection_split(pts, range(m), w, m // 2)
+        split = _projection_split(pts, w, m // 2)
         if split is None:
             continue
-        D_idx, U_idx, line1 = split
-        if min(len(D_idx), len(U_idx)) < 3 * q:
-            continue
+        D_idx, U_idx, line1 = split  # m >= 6q: both halves hold >= 3q points
         wx, wy = w
         # L1 direction with the U side on its ccw half
         ux, uy = wy, -wx
@@ -416,7 +413,7 @@ def six_fan(config: Configuration, q: int) -> RegionAssignment:
 
 def _try_fan_center(pts, q, line1, u, X0, t, U_idx, D_idx):
     PX, PY, PD = _clear_center(X0[0] + t * u[0], X0[1] + t * u[1])
-    dirs = _dir_vectors(pts, range(len(pts)), PX, PY, PD)
+    dirs = _dir_vectors(pts, PX, PY, PD)
     uvec = u
     # U must be the ccw side of uvec; D the other (points never on L1)
     U = [i for i in U_idx if _cross(uvec, dirs[i]) > 0]
@@ -430,14 +427,12 @@ def _try_fan_center(pts, q, line1, u, X0, t, U_idx, D_idx):
     Us = _sort_halfplane(dirs, U)
     Ds = _sort_halfplane(dirs, D)
     su, sd = len(Us), len(Ds)
-    if su < 3 * q or sd < 3 * q:
-        return None
 
     # boundary k of U (between Us[k-1] and Us[k]): its ray, and how many D
     # points lie before the opposite ray
     rays, below = {}, {}
     for k in range(q, su - q + 1):
-        r = rays[k] = _ray_between(dirs, Us[k - 1], Us[k], dirs)
+        r = rays[k] = _ray_between(dirs, Us[k - 1], Us[k])
         nr = (-r[0], -r[1])
         below[k] = sum(1 for i in Ds if _cross(dirs[i], nr) > 0)
 

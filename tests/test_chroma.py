@@ -65,10 +65,10 @@ def test_greedy_edgeless_and_complete():
 def test_verify_coloring_basics():
     d = trivial_edge_decomposition(convex_configuration(4))
     m = len(d.parts)
-    assert verify_coloring(d, Coloring(colors=tuple(range(m)), palette=m)) == []
-    assert verify_coloring(d, Coloring(colors=(0,) * m, palette=1)) != []
+    assert verify_coloring(d, Coloring(colors=tuple(range(m)))) == []
+    assert verify_coloring(d, Coloring(colors=(0,) * m)) != []
     with pytest.raises(ChromaError):
-        verify_coloring(d, Coloring(colors=(0,), palette=1))
+        verify_coloring(d, Coloring(colors=(0,)))
 
 
 def test_exact_chromatic_single_part_and_bounds():
@@ -179,7 +179,7 @@ def test_census_single_triangle_threshold():
     ]
     parts.sort(key=lambda p: p.vertices)
     d = Decomposition(config=cfg, parts=parts, metadata={})
-    col = Coloring(colors=tuple(range(len(parts))), palette=len(parts))
+    col = Coloring(colors=tuple(range(len(parts))))
     # length 3 vs n/x: 3 >= 9/3 with x = 3 -> large
     census = triangle_census(d, col, x=3)
     assert sum(census.per_class_large.values()) == 1
@@ -203,7 +203,7 @@ def test_census_equality_is_large():
     ]
     parts.sort(key=lambda p: p.vertices)
     d = Decomposition(config=cfg, parts=parts, metadata={})
-    col = Coloring(colors=tuple(range(len(parts))), palette=len(parts))
+    col = Coloring(colors=tuple(range(len(parts))))
     census = triangle_census(d, col, x=3)
     assert sum(census.per_class_large.values()) == 1
 
@@ -271,3 +271,77 @@ def test_tau_point_fan_center():
     assert res.count == 4  # meets the n^2/9 = 4 reference bound
     with pytest.raises(ChromaError):
         tau_point(cfg, (cfg.points[0].x, cfg.points[0].y))
+
+
+def test_searches_on_complete_graph_past_recursion_limit():
+    m = 1100
+    full = (1 << m) - 1
+    g = ConflictGraph(m=m, adj=tuple(full & ~(1 << i) for i in range(m)))
+    res = clique_index(g)
+    assert (res.size, res.exact) == (m, True) and res.members == list(range(m))
+    bounds = exact_chromatic_index(g)
+    assert (bounds.lower, bounds.upper, bounds.optimal) == (m, m, True)
+
+
+def test_clique_index_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    for trial in range(120):
+        m = rng.randint(1, 40)
+        p = rng.choice((0.1, 0.3, 0.5, 0.8))
+        edges = [e for e in combinations(range(m), 2) if rng.random() < p]
+        g = _graph(m, edges)
+        G = nx.Graph(edges)
+        G.add_nodes_from(range(m))
+        opt = nx.max_weight_clique(G, weight=None)[1]
+        for budget in (1, 4, 30, 2_000_000):
+            res = clique_index(g, budget=budget)
+            assert len(res.members) == res.size <= opt
+            for u, v in combinations(res.members, 2):
+                assert (g.adj[u] >> v) & 1
+            assert not res.exact or res.size == opt
+        assert res.exact
+
+
+def _in_closed_triangle(p, a, b, c):
+    def side(u, v):
+        return (v.x - u.x) * (p[1] - u.y) - (v.y - u.y) * (p[0] - u.x)
+
+    s = (side(a, b), side(b, c), side(c, a))
+    return min(s) >= 0 or max(s) <= 0
+
+
+def _brute_force_tau(cfg, p):
+    pts = cfg.points
+    cands = [t for t in combinations(range(cfg.n), 3)
+             if _in_closed_triangle(p, *(pts[i] for i in t))]
+    best = 0
+    for r in range(1, len(cands) + 1):
+        if not any(len({e for t in S for e in combinations(t, 2)}) == 3 * r
+                   for S in combinations(cands, r)):
+            break
+        best = r
+    return best
+
+
+def test_tau_point_matches_brute_force():
+    rng = random.Random(8)
+    checked = {"inside": 0, "outside": 0}
+    for n in range(3, 8):
+        for seed in range(3):
+            cfg = generate_general_position(n, bound=60, seed=seed)
+            pts = cfg.points
+            probes = []
+            for _ in range(4):
+                a, b, c = rng.sample(pts, 3)
+                w = [rng.randint(1, 4) for _ in range(3)]
+                probes.append((Fraction(w[0] * a.x + w[1] * b.x + w[2] * c.x, sum(w)),
+                               Fraction(w[0] * a.y + w[1] * b.y + w[2] * c.y, sum(w))))
+            a, b = rng.sample(pts, 2)
+            probes.append((Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2)))  # on an edge
+            probes.append((max(q.x for q in pts) + 1, rng.randint(-100, 100)))  # outside
+            for p in probes:
+                want = _brute_force_tau(cfg, p)
+                assert tau_point(cfg, p) == (want, True)
+                checked["inside" if want else "outside"] += 1
+    assert min(checked.values()) > 0

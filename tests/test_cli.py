@@ -215,3 +215,15 @@ def test_planecut_error_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["build", "thm3", "-q", "9", "--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
     assert err == "error: six_fan: candidate search exhausted (m=69, q=9)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{dir}"],
+    ["build", "thm4", "-n", "9", "--out", "{dir}"],
+    ["gen", "-n", "5", "--out", "{dir}"],
+], ids=["verify", "build", "gen"])
+def test_directory_path_exits_2(tmp_path, capsys, argv):
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

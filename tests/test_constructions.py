@@ -188,7 +188,7 @@ def test_verify_coloring_catches_bad_merge():
     i, j = target
     bad = list(col.colors)
     bad[i] = bad[j]
-    assert verify_coloring(dec, Coloring(colors=tuple(bad), palette=col.palette))
+    assert verify_coloring(dec, Coloring(colors=tuple(bad)))
 
 
 def test_thm32_box1_class_is_six_nonconflicting_triangles():

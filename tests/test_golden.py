@@ -1,4 +1,5 @@
-"""Byte-level guard: `build` outputs must not change under refactoring.
+"""Byte-level guard: `build` and `color` outputs must not change under
+refactoring.
 
 A digest mismatch means a construction now computes something different;
 it is a regression to fix, not a value to update.
@@ -52,3 +53,49 @@ def test_thm5_digest_at_coordinate_bound(tmp_path):
     assert main(["build", "thm5", "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "babdb0247e5d9f901cf3f21e3c1ce59cd41b234673f41b7c8f1cc2e49dd14130")
+
+
+def _edges_on_points(tmp_path, n, seed):
+    cfg, out = tmp_path / "pts.json", tmp_path / "in.json"
+    assert main(["gen", "-n", str(n), "--seed", str(seed), "--out", str(cfg)]) == 0
+    return ["edges", "--config", str(cfg), "--out", str(out)]
+
+
+@pytest.mark.parametrize("build,color,printed,digest", [
+    pytest.param(["thm4", "-n", "48"], ["--mode", "exact"],
+                 "chromatic index: [257, 257] (exact)",
+                 "45410c09257765680b4f3817afcdb55424df627d8bc2928888234b30b20b005c",
+                 id="thm4-n48-exact"),
+    pytest.param(["thm4", "-n", "15"], ["--mode", "exact", "--budget", "20"],
+                 "chromatic index: [14, 26] (bounds-only)",
+                 "537cbf4da4af38d536cf14b902e952e412ee23e20a7cf0d0dd30d7ae9382b2f2",
+                 id="thm4-n15-budget20"),
+    # the coloring search raises the lower bound, then runs out of budget
+    pytest.param((8, 4), ["--mode", "exact", "--budget", "1000"],
+                 "chromatic index: [9, 10] (bounds-only)",
+                 "64b1529fbf7bf7d16dabc19667857bba0f3524f8fd88f7adb026594da9db50ba",
+                 id="edges-gen8-budget1000"),
+    pytest.param((8, 4), ["--mode", "exact", "--budget", "5000"],
+                 "chromatic index: [9, 9] (exact)",
+                 "5073b15ce7e1a71c6229db758de9f1345e05664aa42f79c2403c2f602adc85d5",
+                 id="edges-gen8-budget5000"),
+    pytest.param(["thm32", "-k", "4"], ["--mode", "exact", "--budget", "2000"],
+                 "chromatic index: [190, 248] (bounds-only)",
+                 "9a9faafa74b294eb0987e0609f360819a83f318f75c574606fb7bb1c21698a03",
+                 id="thm32-k4-budget2000"),
+    pytest.param((32, 0), [],
+                 "greedy palette: 49",
+                 "e42d47ba291888e98a3c1f405777bc2ea032c002c7491c8bd2693286fc2ac08c",
+                 id="edges-gen32-greedy"),
+])
+def test_color_output_digest(tmp_path, capsys, build, color, printed, digest):
+    if isinstance(build, tuple):  # edges on `gen -n N --seed S`
+        build = _edges_on_points(tmp_path, *build)
+    else:
+        build = [*build, "--out", str(tmp_path / "in.json")]
+    assert main(["build", *build]) == 0
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(["color", str(tmp_path / "in.json"), *color, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == printed
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
