@@ -114,14 +114,14 @@ def cmd_build(args) -> int:
             raise CliError("thm4 needs -n (multiple of 3)")
         decomp, coloring = thm4_construction(args.n)
     elif name == "thm3":
-        cfg = load_config(args.config) if args.config else None
+        cfg = None
+        if args.n is not None or args.config:
+            cfg = _build_config(args, "coordinates")
         q = args.q
         if q is None:
-            if cfg is None and args.n is None:
+            if cfg is None:
                 raise CliError("thm3 needs -q, or -n/--config to derive it")
-            q = largest_thm3_q(cfg.n if cfg is not None else args.n)
-        if cfg is None and args.n is not None and args.n >= 7 * q + 6:
-            cfg = generate_general_position(args.n, seed=args.seed)
+            q = largest_thm3_q(cfg.n)
         decomp, coloring = thm3_construction(q, config=cfg, seed=args.seed)
     elif name == "thm5":
         cfg = _build_config(args, "coordinates")

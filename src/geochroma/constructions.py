@@ -29,14 +29,15 @@ from .exactgeom import (
     part_edges,
     proper_cross,
     convex_cross,
+    write_json,
 )
 from .planecut import (
     PlanecutError,
+    nine_fit,
     nine_regions,
+    projection_splits,
     six_fan,
     six_parts_two_parallel,
-    _projection_split,
-    _candidate_normals,
 )
 from .designs import (
     BlockDesign,
@@ -202,14 +203,10 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
     n = config.n
     pts = config.points
 
-    split = None
-    for w in _candidate_normals(pts, first=(0, 1)):
-        split = _projection_split(pts, w, q)
-        if split is not None:
-            break
+    split = next(projection_splits(pts, q), None)
     if split is None:
         raise ConstructionError("no strip direction separates the label strip")
-    strip_idx, upper_idx, _strip_line = split
+    _, strip_idx, upper_idx, _ = split
 
     sub_pts = tuple(pts[i] for i in upper_idx)
     sub = Configuration(mode="coordinates", n=len(sub_pts), points=sub_pts)
@@ -378,15 +375,8 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> Constructio
             base = six_parts_two_parallel(sub)
         except PlanecutError:
             return [], leftover(combinations(ordered, 2)), 0
-        sizes = [len(r) for r in base.regions]
-        q = None
-        for cand in range(m // 9, 7, -1):
-            fits = all(s >= cand for s in sizes) and all(
-                (sizes[i] - cand) + (sizes[i + 3] - cand) >= cand for i in range(3)
-            )
-            if fits and plane_order_supported(cand):
-                q = cand
-                break
+        q = next((c for c in range(m // 9, 7, -1)
+                  if nine_fit(base, c) and plane_order_supported(c)), None)
         if q is None:
             return [], leftover(combinations(ordered, 2)), 0
         nine = nine_regions(sub, q, base=base)
@@ -548,10 +538,7 @@ def decomposition_from_dict(data: dict):
 
 
 def save_decomposition(d: Decomposition, path, coloring=None) -> None:
-    with open(path, "w") as fh:
-        json.dump(decomposition_to_dict(d, coloring), fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
+    write_json(decomposition_to_dict(d, coloring), path)
 
 
 def load_decomposition(path):

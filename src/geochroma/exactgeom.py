@@ -273,10 +273,18 @@ def config_from_dict(d: dict) -> Configuration:
     raise GeometryError(f"unknown configuration mode {mode!r}")
 
 
-def save_config(config: Configuration, path) -> None:
+def write_json(data, path) -> None:
+    """Write data as the data files store it: one line of compact JSON with
+    sorted keys.  json.dump streams the text; json.dumps would encode faster
+    in C but holds the whole text and its pieces in memory, which raises the
+    peak RSS of a build."""
     with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, sort_keys=True, separators=(",", ":"))
+        json.dump(data, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+def save_config(config: Configuration, path) -> None:
+    write_json(config_to_dict(config), path)
 
 
 def load_config(path) -> Configuration:

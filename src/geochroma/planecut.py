@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -33,14 +33,6 @@ class PlanecutError(RuntimeError):
     """Candidate search exhausted or infeasible region request."""
 
 
-def _sign(v) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
-
-
 @dataclass(frozen=True)
 class CutLine:
     """Oriented line a*x + b*y = c with integer coefficients."""
@@ -49,12 +41,12 @@ class CutLine:
     b: int
     c: int
 
-    def value(self, p) -> int:
-        x, y = (p.x, p.y) if isinstance(p, Point) else (p[0], p[1])
-        return self.a * x + self.b * y - self.c
+    def value(self, p: Point) -> int:
+        return self.a * p.x + self.b * p.y - self.c
 
-    def side(self, p) -> int:
-        return _sign(self.value(p))
+    def side(self, p: Point) -> int:
+        v = self.value(p)
+        return (v > 0) - (v < 0)
 
 
 @dataclass
@@ -150,22 +142,30 @@ def _projection_split(pts, w, rank):
     return low, high, line
 
 
+def projection_splits(pts, rank):
+    """Every tie-free split of pts into its `rank` lowest projections and the rest.
+
+    Yields (w, low, high, line) for each candidate normal w, in the order of
+    _candidate_normals(pts, first=(0, 1)), whose boundary projections differ;
+    line has normal w and lies strictly between low and high.
+    """
+    for w in _candidate_normals(pts, first=(0, 1)):
+        split = _projection_split(pts, w, rank)
+        if split is not None:
+            yield (w, *split)
+
+
 # --- exact nudged lines ------------------------------------------------------
-
-def _line_through(P: Point, Q: Point) -> tuple[int, int, int]:
-    dx, dy = Q.x - P.x, Q.y - P.y
-    return -dy, dx, dx * P.y - dy * P.x
-
 
 def _nudged_line(pts, P: Point, Q: Point, sp: int, sq: int) -> CutLine:
     """Line agreeing with line(P,Q) on all other points, pushing P to side sp
     and Q to side sq (each +-1).  Exact integer construction."""
-    a0, b0, c0 = _line_through(P, Q)
+    dx, dy = Q.x - P.x, Q.y - P.y
+    a0, b0, c0 = -dy, dx, dx * P.y - dy * P.x  # the line through P and Q
     if sp == sq:
         # translate: f' = 2 f + sp
         return CutLine(2 * a0, 2 * b0, 2 * c0 - sp)
     # rotate about the midpoint: g = 2N f + delta * (d . (2x - P - Q))
-    dx, dy = Q.x - P.x, Q.y - P.y
     delta = -sp  # g(P) = -delta |d|^2
     N = 1
     for p in pts:
@@ -209,14 +209,10 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
     # outer strip size t must allow halves >= lo and a middle of >= 2*lo;
     # the canonical allocation ceil(n/3) comes first (it is the one the
     # continuity proof fixes), smaller middles only as feasibility fallbacks
-    # (n = 6r+1 forces t below ceil(n/3))
-    t_min = max(1, 2 * lo)
-    t_max = (n - 2 * lo) // 2
-    if t_min > t_max:
-        raise PlanecutError(f"no feasible strip size for n={n}, bound={lo}")
+    # (n = 6r+1 forces t below ceil(n/3)); 6*lo < n keeps the range nonempty
     canonical = -(-n // 3)
     third = n / 3
-    t_order = sorted(range(t_min, t_max + 1),
+    t_order = sorted(range(max(1, 2 * lo), (n - 2 * lo) // 2 + 1),
                      key=lambda t: (t != canonical, abs(t - third), t))
     xs = np.array([p.x for p in pts], dtype=np.int64)
     ys = np.array([p.y for p in pts], dtype=np.int64)
@@ -242,46 +238,36 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
 
     # preferred strip sizes first over a bounded direction sweep, then an
     # unbounded last resort before declaring exhaustion
-    hit = None
-    for cap in (48, None):
-        for t in t_order:
-            for i, w in enumerate(_candidate_normals(pts)):
-                if cap is not None and i >= cap:
-                    break
-                hit = attempt(t, w)
-                if hit is not None:
-                    break
-            if hit is not None:
-                break
-        if hit is not None:
-            break
-    if hit is not None:
-        (l3, sides), label, line_hi, line_lo, (A, M, B) = hit
-        regions = [[], [], [], [], [], []]  # A+ M+ B+ A- M- B-
-        for i in range(n):
-            strip = label[i]
-            if sides[i] > 0:
-                regions[strip].append(i)
-            else:
-                regions[3 + strip].append(i)
-        cuts = [line_hi, line_lo, l3]
-        patterns = [
-            [(1, 1, 1)], [(-1, 1, 1)], [(-1, -1, 1)],
-            [(1, 1, -1)], [(-1, 1, -1)], [(-1, -1, -1)],
-        ]
-        strips = [sorted(A), sorted(M), sorted(B)]
-        asg = RegionAssignment(
-            regions=[sorted(r) for r in regions],
-            spill=[],
-            cuts=cuts,
-            patterns=patterns,
-            strips=strips,
+    stream = ((t, w) for cap in (48, None) for t in t_order
+              for w in islice(_candidate_normals(pts), cap))
+    hit = next(filter(None, (attempt(t, w) for t, w in stream)), None)
+    if hit is None:
+        raise PlanecutError(
+            f"six_parts_two_parallel: search exhausted (n={n}, bound={lo})"
         )
-        recount_regions(asg, config)
-        return asg
-    raise PlanecutError(
-        f"six_parts_two_parallel: search exhausted (n={n}, bound={lo})"
+    (l3, sides), label, line_hi, line_lo, (A, M, B) = hit
+    regions = [[], [], [], [], [], []]  # A+ M+ B+ A- M- B-
+    for i in range(n):
+        strip = label[i]
+        if sides[i] > 0:
+            regions[strip].append(i)
+        else:
+            regions[3 + strip].append(i)
+    cuts = [line_hi, line_lo, l3]
+    patterns = [
+        [(1, 1, 1)], [(-1, 1, 1)], [(-1, -1, 1)],
+        [(1, 1, -1)], [(-1, 1, -1)], [(-1, -1, -1)],
+    ]
+    strips = [sorted(A), sorted(M), sorted(B)]
+    asg = RegionAssignment(
+        regions=[sorted(r) for r in regions],
+        spill=[],
+        cuts=cuts,
+        patterns=patterns,
+        strips=strips,
     )
+    recount_regions(asg, config)
+    return asg
 
 
 def _ham_sandwich(pts, xs, ys, label, A, B, lo):
@@ -323,15 +309,6 @@ def _ham_sandwich(pts, xs, ys, label, A, B, lo):
 
 # --- six equal angular parts by three concurrent lines ------------------------
 
-def _clear_center(fx: Fraction, fy: Fraction) -> tuple[int, int, int]:
-    den = math.lcm(fx.denominator, fy.denominator)
-    return int(fx * den), int(fy * den), den
-
-
-def _dir_vectors(pts, PX, PY, PD):
-    return {i: (p.x * PD - PX, p.y * PD - PY) for i, p in enumerate(pts)}
-
-
 def _cross(v1, v2) -> int:
     return v1[0] * v2[1] - v1[1] * v2[0]
 
@@ -372,12 +349,8 @@ def six_fan(config: Configuration, q: int) -> RegionAssignment:
     if m < 6 * q or q < 1:
         raise PlanecutError(f"six_fan needs m >= 6q (m={m}, q={q})")
 
-    for w in _candidate_normals(pts, first=(0, 1)):
-        split = _projection_split(pts, w, m // 2)
-        if split is None:
-            continue
-        D_idx, U_idx, line1 = split  # m >= 6q: both halves hold >= 3q points
-        wx, wy = w
+    # m >= 6q: both halves of each split hold >= 3q points
+    for (wx, wy), D_idx, U_idx, line1 in projection_splits(pts, m // 2):
         # L1 direction with the U side on its ccw half
         ux, uy = wy, -wx
         # foot of the perpendicular from origin, as a rational point on L1
@@ -393,43 +366,30 @@ def six_fan(config: Configuration, q: int) -> RegionAssignment:
                 continue
             Ac = dx * (X0[1] - pts[i].y) - dy * (X0[0] - pts[i].x)
             ts.add(Fraction(-Ac, Bc))
+        # ts is nonempty: the points are not all on one line parallel to L1
         tl = sorted(ts)
-        cands: list[Fraction] = []
-        if tl:
-            cands.append(tl[0] - 1)
-            cands.extend((tl[k] + tl[k + 1]) / 2 for k in range(len(tl) - 1))
-            cands.append(tl[-1] + 1)
-        else:
-            cands.append(Fraction(0))
-
+        cands = [tl[0] - 1, *((s + t) / 2 for s, t in zip(tl, tl[1:])), tl[-1] + 1]
         for t in cands:
             fan = _try_fan_center(pts, q, line1, (ux, uy), X0, t, U_idx, D_idx)
             if fan is not None:
-                asg = fan
-                recount_regions(asg, config)
-                return asg
+                recount_regions(fan, config)
+                return fan
     raise PlanecutError(f"six_fan: candidate search exhausted (m={m}, q={q})")
 
 
 def _try_fan_center(pts, q, line1, u, X0, t, U_idx, D_idx):
-    PX, PY, PD = _clear_center(X0[0] + t * u[0], X0[1] + t * u[1])
-    dirs = _dir_vectors(pts, PX, PY, PD)
-    uvec = u
-    # U must be the ccw side of uvec; D the other (points never on L1)
-    U = [i for i in U_idx if _cross(uvec, dirs[i]) > 0]
-    if len(U) != len(U_idx):
-        U = [i for i in D_idx if _cross(uvec, dirs[i]) > 0]
-        D = list(U_idx)
-        if len(U) != len(D_idx):
-            return None
-    else:
-        D = list(D_idx)
-    Us = _sort_halfplane(dirs, U)
-    Ds = _sort_halfplane(dirs, D)
+    fx, fy = X0[0] + t * u[0], X0[1] + t * u[1]
+    PD = math.lcm(fx.denominator, fy.denominator)
+    PX, PY = int(fx * PD), int(fy * PD)
+    dirs = {i: (p.x * PD - PX, p.y * PD - PY) for i, p in enumerate(pts)}
+    # the center lies on L1, so U (high projections onto w) is the open ccw
+    # half of u and D the open cw half: cross(u, p - center) = w . p - c/2
+    Us = _sort_halfplane(dirs, U_idx)
+    Ds = _sort_halfplane(dirs, D_idx)
     su, sd = len(Us), len(Ds)
 
     # boundary k of U (between Us[k-1] and Us[k]): its ray, and how many D
-    # points lie before the opposite ray
+    # points lie before the opposite ray (nondecreasing in k)
     rays, below = {}, {}
     for k in range(q, su - q + 1):
         r = rays[k] = _ray_between(dirs, Us[k - 1], Us[k])
@@ -440,8 +400,6 @@ def _try_fan_center(pts, q, line1, u, X0, t, U_idx, D_idx):
         for b in range(a + q, su - q + 1):
             r2, r3 = rays[a], rays[b]
             i2, i3 = below[a], below[b]
-            if i3 < i2:
-                continue
             d1, d2, d3 = i2, i3 - i2, sd - i3
             if min(d1, d2, d3) < q:
                 continue
@@ -493,6 +451,13 @@ def _line_through_center(PX, PY, PD, direction) -> CutLine:
 
 # --- nine regions for the recursive triangle decomposition --------------------
 
+def nine_fit(base: RegionAssignment, q: int) -> bool:
+    """True iff nine_regions can refine base's six parts with q points per
+    region: every part holds >= q and each strip's two parts >= 3q together."""
+    s = [len(r) for r in base.regions]
+    return min(s) >= q and all(s[i] + s[i + 3] >= 3 * q for i in range(3))
+
+
 def nine_regions(config: Configuration, q: int, base: RegionAssignment | None = None) -> RegionAssignment:
     """Buckets R1..R9: R1..R6 are the q points of each sixth nearest the
     third cut; R7..R9 merge the leftovers of each strip, truncated to q."""
@@ -500,19 +465,13 @@ def nine_regions(config: Configuration, q: int, base: RegionAssignment | None = 
         raise PlanecutError("q must be >= 1")
     if base is None:
         base = six_parts_two_parallel(config)
-    pts = config.points
     S = base.regions  # A+ M+ B+ A- M- B-
-    for i, s in enumerate(S):
-        if len(s) < q:
-            raise PlanecutError(
-                f"region S{i + 1} has {len(s)} < q = {q} points; choose smaller q"
-            )
-    for strip in range(3):
-        rest = (len(S[strip]) - q) + (len(S[strip + 3]) - q)
-        if rest < q:
-            raise PlanecutError(
-                f"strip {strip + 1} cannot fill its merged region; choose smaller q"
-            )
+    if not nine_fit(base, q):
+        raise PlanecutError(
+            f"six parts of sizes {[len(s) for s in S]} cannot fill nine regions "
+            f"of q = {q}; choose smaller q"
+        )
+    pts = config.points
     l3 = base.cuts[2]
     # secondary functional along l3's direction, for tie-free sub-cuts
     gx, gy = -l3.b, l3.a

@@ -11,12 +11,15 @@ import math
 
 from .constructions import Decomposition
 
+SIZE = 480   # square canvas side, px
+MARGIN = 24  # blank border around the drawing, px
 
-def _layout(config, size, margin):
+
+def _layout(config):
     if config.mode == "convex":
         n = config.n
-        cx = cy = size / 2
-        r = size / 2 - margin
+        cx = cy = SIZE / 2
+        r = SIZE / 2 - MARGIN
         # clockwise starting at the top, matching the cyclic vertex order
         return [
             (cx + r * math.sin(2 * math.pi * i / n),
@@ -27,9 +30,9 @@ def _layout(config, size, margin):
     ys = [p.y for p in config.points]
     w = max(xs) - min(xs) or 1
     h = max(ys) - min(ys) or 1
-    s = (size - 2 * margin) / max(w, h)
+    s = (SIZE - 2 * MARGIN) / max(w, h)
     return [
-        (margin + (p.x - min(xs)) * s, size - margin - (p.y - min(ys)) * s)
+        (MARGIN + (p.x - min(xs)) * s, SIZE - MARGIN - (p.y - min(ys)) * s)
         for p in config.points
     ]
 
@@ -42,15 +45,13 @@ def render_svg(
     d: Decomposition,
     coloring=None,
     color_filter: int | None = None,
-    size: int = 480,
-    margin: int = 24,
     show_singletons: bool = True,
 ) -> str:
-    pos = _layout(d.config, size, margin)
+    pos = _layout(d.config)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
     ]
     drawn = 0
     for i, part in enumerate(d.parts):
@@ -83,7 +84,7 @@ def render_svg(
         if color_filter is not None:
             legend += f" (class {color_filter})"
     lines.append(
-        f'<text x="{margin}" y="{size - 6}" font-size="11" '
+        f'<text x="{MARGIN}" y="{SIZE - 6}" font-size="11" '
         f'font-family="monospace">{legend}</text>'
     )
     lines.append("</svg>")

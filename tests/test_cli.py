@@ -60,6 +60,15 @@ def test_build_thm3(tmp_path):
     assert main(["verify", str(out)]) == 0
 
 
+def test_build_thm3_rejects_too_few_points(tmp_path, capsys):
+    # -n below 7q+6 is an error, never dropped in favour of a default set
+    out = tmp_path / "t3.json"
+    assert main(["build", "thm3", "-q", "3", "-n", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_build_requires_params(tmp_path):
     assert main(["build", "thm32", "--out", str(tmp_path / "x.json")]) == 2
     assert main(["build", "thm3", "--out", str(tmp_path / "x.json")]) == 2

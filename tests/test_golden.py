@@ -6,10 +6,13 @@ it is a regression to fix, not a value to update.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from geochroma.cli import main
+from geochroma.exactgeom import generate_general_position
+from geochroma.planecut import PlanecutError, nine_regions, six_fan, six_parts_two_parallel
 
 
 @pytest.mark.parametrize("args,digest", [
@@ -99,3 +102,39 @@ def test_color_output_digest(tmp_path, capsys, build, color, printed, digest):
     assert main(["color", str(tmp_path / "in.json"), *color, "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == printed
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _asg_record(asg):
+    center = None if asg.center is None else [str(c) for c in asg.center]
+    return {"regions": asg.regions, "spill": asg.spill, "strips": asg.strips,
+            "cuts": [[c.a, c.b, c.c] for c in asg.cuts],
+            "patterns": asg.patterns, "center": center}
+
+
+def _planecut_sweep():
+    out = []
+    for q in (1, 2, 3, 4):
+        for m in (6 * q, 6 * q + 5):  # without and with spill
+            for seed in range(4):
+                asg = six_fan(generate_general_position(m, seed=seed), q)
+                out.append(["six_fan", q, m, seed, _asg_record(asg)])
+    for n in (6, 7, 13, 31, 60):
+        for seed in range(4):
+            asg = six_parts_two_parallel(generate_general_position(n, seed=seed))
+            out.append(["six_parts", n, seed, _asg_record(asg)])
+    for n, q in ((9, 1), (13, 3), (30, 2), (30, 4), (60, 3), (60, 6), (90, 9)):
+        for seed in range(3):
+            try:
+                rec = _asg_record(nine_regions(generate_general_position(n, seed=seed), q))
+            except PlanecutError:  # the fit rule rejects q
+                rec = "infeasible"
+            out.append(["nine", n, q, seed, rec])
+    return out
+
+
+def test_planecut_outputs_digest():
+    # fans, six-part cuts and nine-region refinements over a seed sweep:
+    # regions, spill, cuts, patterns and fan centers, all exact
+    blob = json.dumps(_planecut_sweep(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "714047d092b7687b2627fff8e8ea6e19c2c003976a15215e12fe21e4d131a5a0")
