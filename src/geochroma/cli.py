@@ -26,6 +26,7 @@ import time
 
 from . import __version__
 from .exactgeom import (
+    GEN_BOUND,
     config_to_dict,
     convex_configuration,
     generate_general_position,
@@ -90,6 +91,8 @@ def cmd_gen(args) -> int:
 
 def _build_config(args, need_mode):
     if args.config:
+        if args.n is not None:
+            raise CliError("give -n or --config, not both")
         cfg = load_config(args.config)
         if need_mode is not None and cfg.mode != need_mode:
             raise CliError(f"{args.construction} needs a {need_mode} configuration")
@@ -106,6 +109,8 @@ def cmd_build(args) -> int:
     t0 = time.time()
     coloring = None
     name = args.construction
+    if args.config and name in ("thm4", "thm32"):
+        raise CliError(f"{name} builds its own convex configuration; it takes no --config")
     if name == "edges":
         cfg = _build_config(args, None)  # any configuration mode works
         decomp = trivial_edge_decomposition(cfg)
@@ -256,7 +261,7 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--mode", choices=("coordinates", "convex"), default="coordinates")
     g.add_argument("--convex", dest="mode", action="store_const", const="convex")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--bound", type=int, default=1 << 20)
+    g.add_argument("--bound", type=int, default=GEN_BOUND)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
 

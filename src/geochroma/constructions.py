@@ -353,38 +353,35 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> Constructio
     if config.mode != "coordinates":
         raise ConstructionError("thm5 needs a coordinates configuration")
     n = config.n
+    if n < 2:
+        raise ConstructionError("need n >= 2")
     pts = config.points
     used: set[tuple[int, int]] = set()
     levels: list[dict] = []
+    raw: list[Part] = []
+    colors: list[int] = []
 
-    def leftover(pairs):
-        """Mark the given (u < v) pairs that no part covers yet as singleton
-        edges, and return them."""
-        singles = [e for e in pairs if e not in used]
-        used.update(singles)
-        return singles
-
-    def build(idxs, depth):
+    def build(idxs, depth, first) -> int:
+        """Place the triangles on the points idxs, colored from `first` on,
+        and return how many colors they use."""
         ordered = sorted(idxs)
         m = len(ordered)
         if m < threshold:
-            return [], leftover(combinations(ordered, 2)), 0
+            return 0
         sub_pts = tuple(pts[i] for i in ordered)
         sub = Configuration(mode="coordinates", n=m, points=sub_pts)
         try:
             base = six_parts_two_parallel(sub)
         except PlanecutError:
-            return [], leftover(combinations(ordered, 2)), 0
+            return 0
         q = next((c for c in range(m // 9, 7, -1)
                   if nine_fit(base, c) and plane_order_supported(c)), None)
         if q is None:
-            return [], leftover(combinations(ordered, 2)), 0
+            return 0
         nine = nine_regions(sub, q, base=base)
-
         regions = [[ordered[v] for v in r] for r in nine.regions]
-        strips_global = [[ordered[v] for v in s] for s in nine.strips]
 
-        tri_entries = []
+        placed = len(raw)
         ncolors = 0
         transversals = pencil_transversals(projective_plane(q), 9)
         for pos in transversals:
@@ -399,48 +396,34 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> Constructio
                 if slot not in slots:
                     slots[slot] = ncolors
                     ncolors += 1
-                tri_entries.append((tri, tag, slots[slot]))
-
-        strip_of = {}
-        for si, strip in enumerate(strips_global):
-            for v in strip:
-                strip_of[v] = si
-        singles = leftover(
-            (u, v) for u, v in combinations(ordered, 2) if strip_of[u] != strip_of[v]
-        )
+                raw.append(Part(vertices=tri, tag=tag))
+                colors.append(first + slots[slot])
 
         levels.append({
             "depth": depth, "m": m, "q": q, "k9s": len(transversals),
-            "level_triangles": len(tri_entries),
+            "level_triangles": len(raw) - placed,
             "level_colors": ncolors,
         })
+        # the strips share one color block after this level's colors
+        return ncolors + max(build([ordered[v] for v in s], depth + 1, first + ncolors)
+                             for s in nine.strips)
 
-        child_max = 0
-        for strip in strips_global:
-            c_tris, c_singles, c_n = build(strip, depth + 1)
-            for tri, tag, col in c_tris:
-                tri_entries.append((tri, tag, ncolors + col))
-            singles.extend(c_singles)
-            child_max = max(child_max, c_n)
-        return tri_entries, singles, ncolors + child_max
+    tri_colors = build(range(n), 0, 0)
+    triangles = len(raw)
+    # the singleton edges: every edge of K_n that no triangle covers
+    singles = [e for e in combinations(range(n), 2) if e not in used]
+    single_colors = _color_singletons(config, singles, tri_colors)
+    raw.extend(Part(vertices=e, tag="singleton-edge") for e in singles)
+    colors.extend(single_colors)
+    single_palette = len(set(single_colors))
 
-    tri_entries, single_edges, tri_colors = build(list(range(n)), 0)
-
-    raw = []
-    colors = []
-    for tri, tag, col in tri_entries:
-        raw.append(Part(vertices=tri, tag=tag))
-        colors.append(col)
-    single_palette = _color_singletons(config, single_edges, tri_colors, raw, colors)
-
-    total_edges = n * (n - 1) // 2
     meta = {
         "construction": "thm5",
         "n": n,
         "threshold": threshold,
-        "triangles": len(tri_entries),
-        "singleton_edges": len(single_edges),
-        "non_triangle_edge_fraction": len(single_edges) / total_edges,
+        "triangles": triangles,
+        "singleton_edges": len(singles),
+        "non_triangle_edge_fraction": len(singles) / (n * (n - 1) // 2),
         "triangle_colors": tri_colors,
         "singleton_colors": single_palette,
         "colors": tri_colors + single_palette,
@@ -456,36 +439,33 @@ def _edges_cross(config, e1, e2) -> bool:
     return proper_cross(p[e1[0]], p[e1[1]], p[e2[0]], p[e2[1]])
 
 
-def _color_singletons(config, edges, base, raw, colors) -> int:
-    """First-fit singleton coloring inside round-robin matching groups.
+def _color_singletons(config, edges, base) -> list[int]:
+    """First-fit colors, from `base` on, of the given edges, in their order.
 
-    Edges with the same endpoint-sum never share a vertex, so buckets only
-    need crossing checks; colors are never shared across groups, which keeps
-    the procedure near-linear at a modest palette cost (measured, reported).
+    Coloring runs inside round-robin matching groups: edges with the same
+    endpoint-sum never share a vertex, so buckets only need crossing checks;
+    colors are never shared across groups, which keeps the procedure
+    near-linear at a modest palette cost (measured, reported).
     """
     n = config.n
     M = n if n % 2 == 1 else n + 1
     groups: dict[int, list] = {}
     for e in sorted(edges):
         groups.setdefault((e[0] + e[1]) % M, []).append(e)
-    palette = 0
+    color = {}
     for g in sorted(groups):
         buckets: list[list] = []
-        assign = {}
         for e in groups[g]:
             for bi, bucket in enumerate(buckets):
                 if all(not _edges_cross(config, e, o) for o in bucket):
                     bucket.append(e)
-                    assign[e] = bi
+                    color[e] = base + bi
                     break
             else:
+                color[e] = base + len(buckets)
                 buckets.append([e])
-                assign[e] = len(buckets) - 1
-        for e in groups[g]:
-            raw.append(Part(vertices=e, tag="singleton-edge"))
-            colors.append(base + palette + assign[e])
-        palette += len(buckets)
-    return palette
+        base += len(buckets)
+    return [color[e] for e in edges]
 
 
 # --- JSON interchange ------------------------------------------------------------

@@ -43,7 +43,7 @@ class FiniteField:
     is the degree-1 case, reduced modulo x.
     """
 
-    __slots__ = ("q", "p", "e", "add_table", "neg_table", "mul_table", "inv_table")
+    __slots__ = ("q", "add_table", "neg_table", "mul_table", "inv_table")
 
     def __init__(self, q: int):
         if not plane_order_supported(q):
@@ -52,58 +52,34 @@ class FiniteField:
                 f"{sorted(_IRREDUCIBLE)}"
             )
         p, poly = _IRREDUCIBLE.get(q, (q, (0, 1)))
-        self.q, self.p, self.e = q, p, len(poly) - 1
-        self.add_table = [
-            [self._poly_add(a, b) for b in range(q)] for a in range(q)
-        ]
-        self.neg_table = [
-            self._undigits([(-d) % p for d in self._digits(a)]) for a in range(q)
-        ]
-        self.mul_table = [
-            [self._poly_mul(a, b, poly) for b in range(q)] for a in range(q)
-        ]
+        top = q // p  # place value of the x^(e-1) digit
+        self.q = q
+        # digitwise sums mod p: above the lowest digit, a + b is the sum of
+        # a // p and b // p shifted up one place, read from an earlier row
+        add = [list(range(q))]
+        for a in range(1, q):
+            up = add[a // p]
+            add.append([up[b // p] * p + (a + b) % p for b in range(q)])
+        self.add_table = add
+        self.neg_table = [row.index(0) for row in add]
+        # x * c: shift c's digits up one place; the digit t pushed to x^e
+        # returns as t * (x^e mod poly), whose digits are -t * poly[:e]
+        carry = [sum((-t * k) % p * p**j for j, k in enumerate(poly[:-1])) for t in range(p)]
+        times_x = [add[c % top * p][carry[c // top]] for c in range(q)]
+        # Horner's rule over the multiplier's digits: a*b is x * (a*(b // p))
+        # when b's lowest digit is 0, else a*(b - 1) + a
+        self.mul_table = []
+        for a in range(q):
+            row = [0]
+            for b in range(1, q):
+                row.append(times_x[row[b // p]] if b % p == 0 else add[row[b - 1]][a])
+            self.mul_table.append(row)
         self.inv_table = [0] * q
         for a in range(1, q):
             row = self.mul_table[a]
             if 1 not in row:
                 raise DesignError(f"element {a} has no inverse in GF({q})")
             self.inv_table[a] = row.index(1)
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, ds):
-        v = 0
-        for d in reversed(ds):
-            v = v * self.p + d
-        return v
-
-    def _poly_add(self, a, b):
-        return self._undigits(
-            [(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))]
-        )
-
-    def _poly_mul(self, a, b, poly):
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.e)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce modulo the monic irreducible polynomial of degree e
-        for k in range(2 * self.e - 1, self.e - 1, -1):
-            c = prod[k]
-            if c == 0:
-                continue
-            prod[k] = 0
-            for j in range(self.e):
-                prod[k - self.e + j] = (prod[k - self.e + j] - c * poly[j]) % self.p
-        return self._undigits(prod[: self.e])
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]

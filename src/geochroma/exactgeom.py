@@ -110,7 +110,8 @@ def convex_configuration(n: int) -> Configuration:
     return Configuration(mode="convex", n=n)
 
 
-def _canonical_direction(dx: int, dy: int) -> tuple[int, int]:
+def canonical_direction(dx: int, dy: int) -> tuple[int, int]:
+    """Primitive direction of (dx, dy) up to sign: one key per slope."""
     g = math.gcd(dx, dy)
     dx, dy = dx // g, dy // g
     if dx < 0 or (dx == 0 and dy < 0):
@@ -127,7 +128,7 @@ def assert_general_position(points: Sequence[Point]) -> None:
             dx, dy = q.x - p.x, q.y - p.y
             if dx == 0 and dy == 0:
                 raise GeometryError(f"duplicate point at indices {i} and {j}")
-            key = _canonical_direction(dx, dy)
+            key = canonical_direction(dx, dy)
             if key in seen:
                 raise GeometryError(
                     f"collinear triple at indices {i}, {seen[key]}, {j}"
@@ -178,7 +179,7 @@ def generate_general_position(n: int, bound: int = GEN_BOUND, seed: int = 0) -> 
         dirs = []
         ok = True
         for i, p in enumerate(pts):
-            key = _canonical_direction(cand.x - p.x, cand.y - p.y)
+            key = canonical_direction(cand.x - p.x, cand.y - p.y)
             if key in dirsets[i]:
                 ok = False
                 break

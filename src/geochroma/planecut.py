@@ -24,7 +24,7 @@ import numpy as np
 from .exactgeom import (
     Configuration,
     Point,
-    _canonical_direction,
+    canonical_direction,
     check_coordinate_bound,
 )
 
@@ -109,7 +109,7 @@ def _candidate_normals(pts, first=None):
     if first is not None:
         order = [first] + order
     for w in order:
-        w = _canonical_direction(*w)
+        w = canonical_direction(*w)
         if w not in seen:
             seen.add(w)
             yield w
@@ -119,7 +119,7 @@ def _candidate_normals(pts, first=None):
         for a, b in ((dx, dy), (8 * -dy + dx, 8 * dx + dy)):
             if a == 0 and b == 0:
                 continue
-            w = _canonical_direction(a, b)
+            w = canonical_direction(a, b)
             if w not in seen:
                 seen.add(w)
                 yield w

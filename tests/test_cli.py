@@ -3,8 +3,16 @@ import json
 import pytest
 
 from geochroma.cli import main
-from geochroma.constructions import load_decomposition
-from geochroma.exactgeom import load_config, orient
+from geochroma.constructions import ConstructionError, decomposition_from_dict, load_decomposition
+from geochroma.exactgeom import (
+    GeometryError,
+    config_from_dict,
+    config_to_dict,
+    convex_configuration,
+    generate_general_position,
+    load_config,
+    orient,
+)
 from itertools import combinations
 
 
@@ -72,6 +80,31 @@ def test_build_thm3_rejects_too_few_points(tmp_path, capsys):
 def test_build_requires_params(tmp_path):
     assert main(["build", "thm32", "--out", str(tmp_path / "x.json")]) == 2
     assert main(["build", "thm3", "--out", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm5", "-n", "1"],
+    ["thm5", "--config", "{empty}"],
+    ["edges", "--config", "{p30}", "-n", "5"],
+    ["thm5", "--config", "{p30}", "-n", "20"],
+    ["thm3", "-q", "3", "--config", "{p30}", "-n", "30"],
+    ["thm4", "-n", "9", "--config", "{missing}"],
+    ["thm32", "-k", "4", "--config", "{p30}"],
+], ids=["thm5-n1", "thm5-no-points", "edges-n-and-config", "thm5-n-and-config",
+        "thm3-n-and-config", "thm4-config", "thm32-config"])
+def test_build_usage_errors_exit_2(tmp_path, capsys, argv):
+    # fewer than two points, -n beside --config (never silently dropped), and
+    # --config for the families that build their own convex configuration
+    files = {"p30": tmp_path / "p30.json", "empty": tmp_path / "empty.json",
+             "missing": tmp_path / "missing.json"}
+    main(["gen", "-n", "30", "--seed", "1", "--out", str(files["p30"])])
+    files["empty"].write_text('{"mode": "coordinates", "points": []}')
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(["build", *[a.format(**files) for a in argv], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_color_greedy_and_exact(tmp_path):
@@ -236,3 +269,58 @@ def test_directory_path_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_loaders_fuzz(tmp_path, capsys):
+    # a valid decomposition file with up to three faults at random places in
+    # its JSON tree (the whole value included): every value loads or raises
+    # the loader's own error, and `verify` on it exits 0, 1 or 2 with one
+    # error line and no traceback
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    junk = st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3),
+        lambda kids: (st.lists(kids, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+        max_leaves=10)
+    path = tmp_path / "fuzz.json"
+
+    @hyp.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hyp.given(st.integers(3, 7), st.booleans(), st.booleans(), st.data())
+    def check(n, convex, colored, data):
+        config = convex_configuration(n) if convex else generate_general_position(n, seed=n)
+        parts = [{"vertices": list(e), "tag": "edge"} for e in combinations(range(n), 2)]
+        doc = {"config": config_to_dict(config), "parts": parts, "metadata": {}}
+        if colored:
+            doc["coloring"] = list(range(len(parts)))
+        root = [doc]
+        for _ in range(data.draw(st.integers(0, 3))):
+            # walk down from the root, stopping at random; replace or delete there
+            holder, key = root, 0
+            node = doc
+            while node and isinstance(node, (dict, list)) and data.draw(st.integers(0, 3)):
+                keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+                holder, key = node, data.draw(st.sampled_from(keys))
+                node = holder[key]
+            if holder is not root and data.draw(st.booleans()):
+                del holder[key]
+            else:
+                holder[key] = data.draw(junk)
+            doc = root[0]
+        for load, arg, errors in (
+                (config_from_dict, doc, GeometryError),
+                (config_from_dict, doc.get("config") if isinstance(doc, dict) else None,
+                 GeometryError),
+                (decomposition_from_dict, doc, (ConstructionError, GeometryError))):
+            try:
+                load(arg)
+            except errors:
+                pass
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["verify", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err
+        assert code != 2 or (err.startswith("error: ") and err.count("\n") == 1)
+
+    check()

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from geochroma.cli import main
+from geochroma.designs import FiniteField, plane_order_supported
 from geochroma.exactgeom import generate_general_position
 from geochroma.planecut import PlanecutError, nine_regions, six_fan, six_parts_two_parallel
 
@@ -22,6 +23,9 @@ from geochroma.planecut import PlanecutError, nine_regions, six_fan, six_parts_t
     pytest.param(["thm5", "-n", "100", "--seed", "7"],  # plane order 9, prime power
                  "917b69c96d642aa788d54c9bf51fe6f1936d6bc5db4358447369681e1d8fc076",
                  id="thm5-n100"),
+    pytest.param(["thm5", "-n", "300", "--seed", "3"],  # recurses: GF(32), then GF(9) x 3
+                 "b72fc6fc45594424053b45ae828919b154a97ae80fd590f3aeafcb830bd951ee",
+                 id="thm5-n300-recursive"),
     pytest.param(["thm3", "-q", "5", "--seed", "1"],
                  "0d31e1cfe1302c14e10b79563a02c72e1adacc9563a52f99696ebb20e522f871",
                  id="thm3-q5"),
@@ -102,6 +106,17 @@ def test_color_output_digest(tmp_path, capsys, build, color, printed, digest):
     assert main(["color", str(tmp_path / "in.json"), *color, "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == printed
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_field_tables_digest():
+    # every supported GF(q), q <= 32: the axiom tests accept any relabelling
+    # of a field, and a relabelled field changes every plane built on it
+    tables = [[q, ff.add_table, ff.neg_table, ff.mul_table, ff.inv_table]
+              for q in range(2, 33) if plane_order_supported(q)
+              for ff in [FiniteField(q)]]
+    blob = json.dumps(tables, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "ec60d045e904ba958c25a2f933373e544c4846fdce0d80d4d7795d950cdbc111")
 
 
 def _asg_record(asg):
