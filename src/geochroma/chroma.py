@@ -21,7 +21,7 @@ from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
-from .exactgeom import Configuration, parts_conflict, point_in_triangle
+from .exactgeom import Configuration, convex_noncrossing, parts_conflict, point_in_triangle
 from .constructions import Coloring, Decomposition
 
 
@@ -63,14 +63,20 @@ def conflict_graph(d: Decomposition) -> ConflictGraph:
 
 
 def verify_coloring(d: Decomposition, c: Coloring) -> list[tuple[int, int]]:
-    """Violating part pairs (same color, conflicting); empty iff proper."""
+    """Violating part pairs (same color, conflicting); empty iff proper.
+
+    In convex mode a class is first checked by one `convex_noncrossing` scan,
+    and its pairs are listed by `parts_conflict` only if the scan rejects it."""
     if len(c.colors) != len(d.parts):
         raise ChromaError("coloring does not cover all parts")
     groups: dict[int, list[int]] = {}
     for i, col in enumerate(c.colors):
         groups.setdefault(col, []).append(i)
+    convex = d.config.mode == "convex"
     bad = []
     for members in groups.values():
+        if convex and convex_noncrossing([d.parts[i].vertices for i in members]):
+            continue
         for i, j in combinations(members, 2):
             if parts_conflict(d.config, d.parts[i].vertices, d.parts[j].vertices):
                 bad.append((i, j))

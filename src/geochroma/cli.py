@@ -179,7 +179,7 @@ def cmd_verify(args) -> int:
     decomp, coloring = load_decomposition(args.file)
     rep = validate_decomposition(decomp)
     print(f"exact cover: {'ok' if rep['valid'] else 'FAILED'} "
-          f"(uncovered={len(rep['uncovered'])}, repeated={len(rep['repeated'])})")
+          f"(uncovered={rep['uncovered_count']}, repeated={len(rep['repeated'])})")
     ok = rep["valid"]
     if coloring is not None:
         bad = verify_coloring(decomp, coloring)

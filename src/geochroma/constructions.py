@@ -112,7 +112,7 @@ def validate_decomposition(d: Decomposition) -> dict:
     n = d.config.n
     for part in d.parts:
         if part.vertices[-1] >= n or part.vertices[0] < 0:
-            return {"uncovered": [], "repeated": [], "valid": False,
+            return {"uncovered": [], "uncovered_count": 0, "repeated": [], "valid": False,
                     "error": f"part {part.vertices} out of range"}
     return validate_design(BlockDesign(n, tuple(p.vertices for p in d.parts)))
 

@@ -10,7 +10,7 @@ directly from its triple; the plane axioms are checked exhaustively in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 
 class DesignError(ValueError):
@@ -214,20 +214,30 @@ class BlockDesign:
     blocks: tuple[tuple[int, ...], ...]
 
 
+UNCOVERED_LISTED = 1000  # validate_design lists at most this many uncovered pairs
+
+
 def validate_design(d: BlockDesign) -> dict:
-    """Pair-coverage report: empty 'uncovered'/'repeated' lists iff a 2-design."""
+    """Pair-coverage report: a 2-design iff 'uncovered_count' is 0 and the
+    'repeated' list is empty.
+
+    The uncovered pairs of K_n are counted, not listed: 'uncovered' holds only
+    the first UNCOVERED_LISTED of them in lexicographic order, so a report on
+    a nearly empty design stays small whatever its n.
+    """
     cover: dict[tuple[int, int], int] = {}
     for blk in d.blocks:
         for u, v in combinations(sorted(blk), 2):
             cover[(u, v)] = cover.get((u, v), 0) + 1
-    uncovered = [
-        (u, v)
-        for u, v in combinations(range(d.n), 2)
-        if (u, v) not in cover
-    ]
+    covered = sum(1 for u, v in cover if 0 <= u < v < d.n)
+    uncovered_count = d.n * (d.n - 1) // 2 - covered
+    uncovered = []
+    if uncovered_count:
+        missing = ((u, v) for u, v in combinations(range(d.n), 2) if (u, v) not in cover)
+        uncovered = list(islice(missing, min(uncovered_count, UNCOVERED_LISTED)))
     repeated = [pair for pair, c in cover.items() if c > 1]
-    return {"uncovered": uncovered, "repeated": repeated,
-            "valid": not uncovered and not repeated}
+    return {"uncovered": uncovered, "uncovered_count": uncovered_count,
+            "repeated": repeated, "valid": not uncovered_count and not repeated}
 
 
 _STS9_CLASSES = (
@@ -363,7 +373,7 @@ def cyclic_sts(n: int, table: DifferenceTripleTable) -> BlockDesign:
     report = validate_design(design)
     if not report["valid"]:
         raise DesignError(
-            f"cyclic STS invalid: {len(report['uncovered'])} uncovered, "
+            f"cyclic STS invalid: {report['uncovered_count']} uncovered, "
             f"{len(report['repeated'])} repeated pairs"
         )
     return design

@@ -85,6 +85,36 @@ def convex_cross(n: int, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
     return inside(a, b, c) != inside(a, b, d)
 
 
+def convex_noncrossing(parts: Sequence[Sequence[int]]) -> bool:
+    """True iff no two parts of a convex configuration conflict.
+
+    Vertices 0..n-1 are in cyclic order, so that holds iff the parts are
+    pairwise vertex-disjoint and no two interleave (no a < b < a' < b' with
+    a, a' in one part and b, b' in another): a non-crossing partition.  One
+    stack scan over the sorted vertices decides it, pushing a part at its
+    first vertex and popping it at its last.
+    """
+    owner: dict[int, int] = {}
+    first, last = [], []
+    for k, part in enumerate(parts):
+        for v in part:
+            if v in owner:  # a shared vertex
+                return False
+            owner[v] = k
+        first.append(min(part))
+        last.append(max(part))
+    stack: list[int] = []
+    for v in sorted(owner):
+        k = owner[v]
+        if v == first[k]:
+            stack.append(k)
+        elif stack[-1] != k:  # k is open but another part opened inside it
+            return False
+        if v == last[k]:
+            stack.pop()
+    return True
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A labelled vertex set of a complete geometric graph.
@@ -205,10 +235,9 @@ def part_edges(vertices: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def parts_conflict(config: Configuration, A: Iterable[int], B: Iterable[int]) -> bool:
-    """True iff the parts share a vertex or contain a properly crossing edge pair."""
+    """True iff the parts share a vertex (identical parts share all of them)
+    or contain a properly crossing edge pair."""
     sa, sb = set(A), set(B)
-    if sa == sb:
-        raise GeometryError("parts_conflict queried with identical parts")
     if sa & sb:
         return True
     ea = part_edges(sa)

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from geochroma.exactgeom import convex_configuration, generate_general_position
+from geochroma.exactgeom import convex_configuration, generate_general_position, parts_conflict
 from geochroma.constructions import (
     thm3_construction,
     thm4_construction,
@@ -69,6 +69,36 @@ def test_verify_coloring_basics():
     assert verify_coloring(d, Coloring(colors=(0,) * m)) != []
     with pytest.raises(ChromaError):
         verify_coloring(d, Coloring(colors=(0,)))
+
+
+def test_verify_coloring_matches_all_pairs_property():
+    # recolored thm32 k=4: parts moved into other parts' classes (mostly
+    # conflicts) or into fresh ones (which leaves both classes proper)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    d, c = thm32_construction(4)
+    m = len(d.parts)
+    verts = [p.vertices for p in d.parts]
+
+    def all_pairs(colors):
+        # every same-color conflicting pair, by class in order of first
+        # appearance, then lexicographically
+        first = {}
+        for i, col in enumerate(colors):
+            first.setdefault(col, i)
+        bad = [(i, j) for i, j in combinations(range(m), 2)
+               if colors[i] == colors[j] and parts_conflict(d.config, verts[i], verts[j])]
+        return sorted(bad, key=lambda ij: (first[colors[ij[0]]], ij))
+
+    @hyp.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hyp.given(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m + 9)), max_size=12))
+    def check(moves):
+        colors = list(c.colors)
+        for i, j in moves:  # part i takes part j's color, or a fresh one
+            colors[i] = c.colors[j] if j < m else c.palette + j - m
+        assert verify_coloring(d, Coloring(colors=tuple(colors))) == all_pairs(colors)
+
+    check()
 
 
 def test_exact_chromatic_single_part_and_bounds():

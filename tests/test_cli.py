@@ -127,6 +127,20 @@ def test_verify_detects_corruption(tmp_path):
     assert main(["verify", str(out)]) == 1
 
 
+def test_verify_repeated_part_fails_validation(tmp_path, capsys):
+    # identical parts share every vertex: a violating pair, not an input error
+    parts = [[0, 1, 2], [0, 1, 2], [0, 3], [1, 3], [2, 3]]
+    doc = {"config": {"mode": "convex", "n": 4}, "metadata": {},
+           "parts": [{"vertices": p, "tag": "part"} for p in parts],
+           "coloring": [0, 0, 1, 2, 3]}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "exact cover: FAILED (uncovered=0, repeated=3)\n"
+        "coloring: FAILED (1 violating pairs, palette 4)\n")
+
+
 def test_render_box1_class(tmp_path):
     dec = tmp_path / "t32.json"
     svg = tmp_path / "t32.svg"

@@ -46,18 +46,28 @@ def test_trivial_edges():
 @pytest.mark.parametrize("edit,report", [
     # C(3,2) edges now covered twice
     pytest.param(lambda parts: parts + [Part(vertices=(0, 1, 2), tag="dup")],
-                 {"uncovered": [], "repeated": [(0, 1), (0, 2), (1, 2)]},
+                 {"uncovered": [], "uncovered_count": 0,
+                  "repeated": [(0, 1), (0, 2), (1, 2)]},
                  id="duplicate"),
     pytest.param(lambda parts: parts + [Part(vertices=(2, 4))],
-                 {"uncovered": [], "repeated": [], "error": "part (2, 4) out of range"},
+                 {"uncovered": [], "uncovered_count": 0, "repeated": [],
+                  "error": "part (2, 4) out of range"},
                  id="out-of-range"),
-    pytest.param(lambda parts: parts[1:], {"uncovered": [(0, 1)], "repeated": []},
+    pytest.param(lambda parts: parts[1:],
+                 {"uncovered": [(0, 1)], "uncovered_count": 1, "repeated": []},
                  id="uncovered"),
 ])
 def test_validate_reports_duplicate_part(edit, report):
     d = trivial_edge_decomposition(convex_configuration(4))
     bad = Decomposition(config=d.config, parts=edit(d.parts), metadata={})
     assert validate_decomposition(bad) == {**report, "valid": False}
+
+
+def test_validate_counts_uncovered_pairs_and_lists_the_first_thousand():
+    empty = Decomposition(config=convex_configuration(2000), parts=[], metadata={})
+    rep = validate_decomposition(empty)
+    assert rep["uncovered_count"] == 1_999_000 and not rep["valid"]
+    assert rep["uncovered"] == [(0, v) for v in range(1, 1001)]
 
 
 def test_star_parts_pairwise_conflict():

@@ -11,6 +11,7 @@ from geochroma.exactgeom import (
     config_to_dict,
     convex_configuration,
     convex_cross,
+    convex_noncrossing,
     coordinate_configuration,
     edge,
     generate_general_position,
@@ -89,12 +90,11 @@ def test_parts_conflict_hexagon():
     assert parts_conflict(cfg, {0, 1, 2}, {2, 3, 4})  # shared vertex
 
 
-def test_parts_conflict_symmetric_and_guarded():
+def test_parts_conflict_symmetric_and_identical_parts_conflict():
     cfg = convex_configuration(7)
     a, b = {0, 2, 4}, {1, 5, 6}
     assert parts_conflict(cfg, a, b) == parts_conflict(cfg, b, a)
-    with pytest.raises(GeometryError):
-        parts_conflict(cfg, a, a)
+    assert parts_conflict(cfg, a, a)  # identical parts share every vertex
 
 
 def test_generate_general_position_exhaustive_triples():
@@ -221,5 +221,30 @@ def test_convex_cross_matches_parabola_property(hyp):
         pts = [Point(i, i * i) for i in range(n)]
         geometric = proper_cross(pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]])
         assert convex_cross(n, e1, e2) == geometric
+
+    check()
+
+
+def test_convex_noncrossing_examples():
+    assert convex_noncrossing([(0, 5), (1, 2, 4), (6, 7)])  # nested, then apart
+    assert not convex_noncrossing([(0, 2), (1, 3)])        # interleaved
+    assert not convex_noncrossing([(0, 1), (1, 2)])        # a shared vertex
+    assert not convex_noncrossing([(0, 1, 2), (0, 1, 2)])  # a repeated part
+
+
+def test_convex_noncrossing_matches_parts_conflict_property(hyp):
+    st = hyp.strategies
+
+    def family(n):
+        part = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
+        return st.lists(part.map(lambda vs: tuple(sorted(vs))), min_size=1, max_size=4)
+
+    @_settings(hyp, 400)
+    @hyp.given(st.integers(4, 12).flatmap(lambda n: st.tuples(st.just(n), family(n))))
+    def check(case):
+        n, parts = case
+        config = convex_configuration(n)
+        conflict = any(parts_conflict(config, a, b) for a, b in combinations(parts, 2))
+        assert convex_noncrossing(parts) == (not conflict)
 
     check()

@@ -1,5 +1,5 @@
-"""Byte-level guard: `build` and `color` outputs must not change under
-refactoring.
+"""Byte-level guard: `build` and `color` outputs, and the violating pairs
+`verify` finds, must not change under refactoring.
 
 A digest mismatch means a construction now computes something different;
 it is a regression to fix, not a value to update.
@@ -7,12 +7,20 @@ it is a regression to fix, not a value to update.
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from geochroma.chroma import conflict_graph, greedy_color, verify_coloring
 from geochroma.cli import main
+from geochroma.constructions import (
+    Coloring,
+    thm4_construction,
+    thm32_construction,
+    trivial_edge_decomposition,
+)
 from geochroma.designs import FiniteField, plane_order_supported
-from geochroma.exactgeom import generate_general_position
+from geochroma.exactgeom import convex_configuration, generate_general_position
 from geochroma.planecut import PlanecutError, nine_regions, six_fan, six_parts_two_parallel
 
 
@@ -153,3 +161,65 @@ def test_planecut_outputs_digest():
     blob = json.dumps(_planecut_sweep(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "714047d092b7687b2627fff8e8ea6e19c2c003976a15215e12fe21e4d131a5a0")
+
+
+def _recolored(count, seed):
+    # thm32 k=4 with `count` parts, drawn by a seeded rng, moved to a random color
+    d, c = thm32_construction(4)
+    rng = random.Random(seed)
+    colors = list(c.colors)
+    for i in rng.sample(range(len(colors)), count):
+        colors[i] = rng.randrange(c.palette)
+    return d, Coloring(colors=tuple(colors))
+
+
+def _one_color():
+    d = thm4_construction(15).decomposition
+    return d, Coloring(colors=(0,) * len(d.parts))
+
+
+def _merged_edges():
+    # a proper coloring of the edges of the convex 7-gon, classes 0 and 1 merged
+    d = trivial_edge_decomposition(convex_configuration(7))
+    colors = greedy_color(conflict_graph(d)).colors
+    return d, Coloring(colors=tuple(0 if col == 1 else col for col in colors))
+
+
+@pytest.mark.parametrize("make,count,digest", [
+    pytest.param(lambda: _recolored(1, 1), 2,
+                 "ec0792f04648bd80f68438acbb59b565443edffa66c19296a874898e932a2010",
+                 id="thm32-k4-recolor1"),
+    pytest.param(lambda: _recolored(10, 10), 32,
+                 "7d64a4707ad49245cda8e3eaab118eeecc88e2d1a3db7ef91436bf0c234f3c8c",
+                 id="thm32-k4-recolor10"),
+    pytest.param(lambda: _recolored(300, 300), 717,
+                 "8117ff90298ebf7fb62e475fe5e4595fbcd55f524826d3fffb63db808f1baa03",
+                 id="thm32-k4-recolor300"),
+    pytest.param(_one_color, 855,
+                 "744956517cfc22abd48c72df37f92bdb22b9a87569f1f93a616c62c1b128718e",
+                 id="thm4-n15-one-color"),
+    pytest.param(_merged_edges, 5,
+                 "303c9dbbec8c96e0b4b574b7582fccdae91d335b9a729f6f96103e0714b5740e",
+                 id="edges-convex7-merged"),
+])
+def test_verify_coloring_violations_digest(make, count, digest):
+    # the violating pairs, in the order verify_coloring returns them
+    bad = verify_coloring(*make())
+    blob = json.dumps(bad, separators=(",", ":"))
+    assert (len(bad), hashlib.sha256(blob.encode()).hexdigest()) == (count, digest)
+
+
+def test_verify_output_on_broken_file(tmp_path, capsys):
+    # thm32 k=4 without its first part and with five parts recolored
+    path = tmp_path / "t32.json"
+    assert main(["build", "thm32", "-k", "4", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    del data["parts"][0], data["coloring"][0]
+    for i in (3, 50, 400, 600, 800):
+        data["coloring"][i] = data["coloring"][i + 1]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "exact cover: FAILED (uncovered=3, repeated=0)\n"
+        "coloring: FAILED (13 violating pairs, palette 219)\n")
