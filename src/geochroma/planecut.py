@@ -5,11 +5,13 @@ realized here by exhaustive candidate search with exact integer arithmetic.
 Cut lines are always placed strictly between points: no input point ever lies
 on a cut, and every assignment can be recounted from the stored lines.
 
-The ham-sandwich search counts sides in numpy int64.  That is exact because
-every coordinate satisfies |x|, |y| <= exactgeom.COORD_BOUND = 2**30: each
-cross-product term is at most 2**31 * 2**31 = 2**62 in magnitude, and the two
-terms are compared, never subtracted.  six_parts_two_parallel enforces the
-bound itself, for configurations built without the loader.
+The ham-sandwich search counts sides in numpy int64, for one anchor against
+every candidate partner at once.  That is exact because every coordinate
+satisfies |x|, |y| <= exactgeom.COORD_BOUND = 2**30: each cross-product term is
+at most 2**31 * 2**31 = 2**62 in magnitude, and the two terms are compared,
+never subtracted.  six_parts_two_parallel enforces the bound itself, for
+configurations built without the loader.  numpy is imported only where the
+sides are counted, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, islice
-
-import numpy as np
 
 from .exactgeom import (
     Configuration,
@@ -179,16 +180,26 @@ def _nudged_line(pts, P: Point, Q: Point, sp: int, sq: int) -> CutLine:
 
 # --- six parts by three lines, two parallel ----------------------------------
 
-def _side_counts(xs, ys, label, P: Point, Q: Point):
-    """Per-strip counts of the points strictly left and strictly right of PQ.
+def _side_counts(P: Point, qx, qy, strips):
+    """Per-strip counts of the points strictly left and strictly right of the
+    line P Q, for every Q = (qx[j], qy[j]) at once.
 
-    xs, ys are int64 coordinate arrays and label the strip (0..2) of each point.
-    Exact while |coordinates| <= 2**30: each product below is at most 2**62.
+    qx, qy are int64 coordinate arrays and strips a sequence of (xs, ys) int64
+    array pairs, one per strip.  Returns (left, right), each of shape
+    (len(qx), len(strips)).  Exact while |coordinates| <= 2**30: each product
+    below is at most 2**62.
     """
-    lhs = (Q.x - P.x) * (ys - P.y)
-    rhs = (Q.y - P.y) * (xs - P.x)
-    return (np.bincount(label[lhs > rhs], minlength=3),
-            np.bincount(label[lhs < rhs], minlength=3))
+    import numpy as np
+
+    dqx = (qx - P.x)[:, None]
+    dqy = (qy - P.y)[:, None]
+    left, right = [], []
+    for xs, ys in strips:
+        lhs = dqx * (ys - P.y)
+        rhs = dqy * (xs - P.x)
+        left.append(np.count_nonzero(lhs > rhs, axis=1))
+        right.append(np.count_nonzero(lhs < rhs, axis=1))
+    return np.stack(left, axis=1), np.stack(right, axis=1)
 
 
 def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
@@ -214,8 +225,6 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
     third = n / 3
     t_order = sorted(range(max(1, 2 * lo), (n - 2 * lo) // 2 + 1),
                      key=lambda t: (t != canonical, abs(t - third), t))
-    xs = np.array([p.x for p in pts], dtype=np.int64)
-    ys = np.array([p.y for p in pts], dtype=np.int64)
 
     def attempt(t, w):
         low_split = _projection_split(pts, w, t)
@@ -228,10 +237,12 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
         _, A, line_hi = high_split
         Aset = set(A)
         M = [i for i in rest if i not in Aset]
-        label = np.zeros(n, dtype=np.int64)  # 0=A 1=M 2=B
-        label[M] = 1
-        label[B] = 2
-        found = _ham_sandwich(pts, xs, ys, label, A, B, lo)
+        label = [0] * n  # 0=A 1=M 2=B
+        for i in M:
+            label[i] = 1
+        for i in B:
+            label[i] = 2
+        found = _ham_sandwich(pts, label, (A, M, B), lo)
         if found is None:
             return None
         return found, label, line_hi, line_lo, (A, M, B)
@@ -270,40 +281,59 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
     return asg
 
 
-def _ham_sandwich(pts, xs, ys, label, A, B, lo):
-    """Line splitting strips A and B near-evenly with both middle parts >= lo.
+_NUDGES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
-    Brute force over lines through one point of A and one of B; first valid
-    candidate (in lexicographic order, nudges tried in a fixed order) wins.
-    Returns (CutLine, side array) or None.
+
+def _ham_sandwich(pts, label, strips, lo):
+    """Line splitting strips A and B near-evenly with all six parts >= lo.
+
+    strips is (A, M, B) and label[i] the strip (0..2) of point i.  Brute force
+    over lines through one point of A and one of B; first valid candidate (in
+    lexicographic order, nudges tried in a fixed order) wins.  Each anchor's
+    side counts against all of B come from one _side_counts call.  Returns
+    (CutLine, side list) or None.
     """
+    import numpy as np  # the side counts are the package's only numpy use
+
+    A, _, B = strips
+    B = sorted(B)
+    xs = np.array([p.x for p in pts], dtype=np.int64)
+    ys = np.array([p.y for p in pts], dtype=np.int64)
+    strip_xy = [(xs[s], ys[s]) for s in strips]
+    bx, by = xs[B], ys[B]
     for ia in sorted(A):
         Pa = pts[ia]
-        for ib in sorted(B):
+        left, right = _side_counts(Pa, bx, by, strip_xy)
+        # a nudge adds the anchor (column 0) or the partner (column 2) to the
+        # side it is pushed to; row j, column k is partner B[j], _NUDGES[k]
+        plus = (left + 1 >= lo) & (right >= lo)
+        minus = (left >= lo) & (right + 1 >= lo)
+        fits = {1: plus, -1: minus}
+        mid = (left[:, 1] >= lo) & (right[:, 1] >= lo)
+        feasible = np.stack([fits[sa][:, 0] & fits[sb][:, 2] & mid
+                             for sa, sb in _NUDGES], axis=1)
+        for j, k in zip(*np.nonzero(feasible)):
+            ib, (sa, sb) = B[j], _NUDGES[k]
             Pb = pts[ib]
-            left, right = _side_counts(xs, ys, label, Pa, Pb)
-            (al, mp, bl), (ar, mm, br) = left.tolist(), right.tolist()
-            for sa, sb in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-                ap = al + (sa > 0)
-                am = ar + (sa < 0)
-                bp = bl + (sb > 0)
-                bm = br + (sb < 0)
-                if min(ap, am, bp, bm, mp, mm) < lo:
-                    continue
-                line = _nudged_line(pts, Pa, Pb, sa, sb)
-                sides = [line.side(p) for p in pts]
-                if any(v == 0 for v in sides):
-                    continue
-                # exact recount must reproduce the predicted counts
-                want = {(0, 1): ap, (0, -1): am, (1, 1): mp, (1, -1): mm,
-                        (2, 1): bp, (2, -1): bm}
-                got: dict[tuple[int, int], int] = {}
-                for i, sv in enumerate(sides):
-                    key = (int(label[i]), sv)
-                    got[key] = got.get(key, 0) + 1
-                if got != {k: v for k, v in want.items() if v}:
-                    raise PlanecutError("nudged line miscounts its sides")
-                return line, sides
+            (al, mp, bl), (ar, mm, br) = left[j].tolist(), right[j].tolist()
+            ap = al + (sa > 0)
+            am = ar + (sa < 0)
+            bp = bl + (sb > 0)
+            bm = br + (sb < 0)
+            line = _nudged_line(pts, Pa, Pb, sa, sb)
+            sides = [line.side(p) for p in pts]
+            if any(v == 0 for v in sides):
+                continue
+            # exact recount must reproduce the predicted counts
+            want = {(0, 1): ap, (0, -1): am, (1, 1): mp, (1, -1): mm,
+                    (2, 1): bp, (2, -1): bm}
+            got: dict[tuple[int, int], int] = {}
+            for i, sv in enumerate(sides):
+                key = (label[i], sv)
+                got[key] = got.get(key, 0) + 1
+            if got != {c: v for c, v in want.items() if v}:
+                raise PlanecutError("nudged line miscounts its sides")
+            return line, sides
     return None
 
 
@@ -314,23 +344,28 @@ def _cross(v1, v2) -> int:
 
 
 def _sort_halfplane(dirs, idxs):
-    """Sort indices by ccw angle; valid within one open halfplane."""
-    import functools
+    """Sort indices by ccw angle; valid within one open halfplane.
+
+    When no two of the directions are parallel the order is strict, so the
+    result does not depend on the order of idxs, and an almost sorted idxs
+    (the order around a nearby center) costs about len(idxs) comparisons.
+    """
 
     def cmp(i, j):
         c = _cross(dirs[i], dirs[j])
         return -1 if c > 0 else (1 if c < 0 else 0)
 
-    return sorted(idxs, key=functools.cmp_to_key(cmp))
+    return sorted(idxs, key=cmp_to_key(cmp))
 
 
-def _ray_between(dirs, i, j):
+def _ray_between(dirs, slopes, i, j):
     """Integer direction strictly between dirs[i] and dirs[j] (consecutive in
-    angle), not parallel to any point direction."""
+    angle), not parallel to any point direction; slopes holds the
+    canonical_direction of every point direction."""
     v1, v2 = dirs[i], dirs[j]
     for k in range(1, len(dirs) + 3):
         cand = (v1[0] * k + v2[0], v1[1] * k + v2[1])
-        if all(_cross(cand, d) != 0 for d in dirs.values()):
+        if canonical_direction(*cand) not in slopes:
             return cand
     raise PlanecutError("no clean ray direction found")  # pragma: no cover
 
@@ -369,32 +404,46 @@ def six_fan(config: Configuration, q: int) -> RegionAssignment:
         # ts is nonempty: the points are not all on one line parallel to L1
         tl = sorted(ts)
         cands = [tl[0] - 1, *((s + t) / 2 for s, t in zip(tl, tl[1:])), tl[-1] + 1]
+        # each center lies strictly between two consecutive pair-line
+        # crossings of L1 (or beyond both ends), so no two points are
+        # collinear with it: the angular orders are strict, and each center's
+        # sort starts from the order around the previous one
+        Us, Ds = U_idx, D_idx
         for t in cands:
-            fan = _try_fan_center(pts, q, line1, (ux, uy), X0, t, U_idx, D_idx)
+            fx, fy = X0[0] + t * ux, X0[1] + t * uy
+            PD = math.lcm(fx.denominator, fy.denominator)
+            PX, PY = int(fx * PD), int(fy * PD)
+            dirs = [(p.x * PD - PX, p.y * PD - PY) for p in pts]
+            # the center lies on L1, so U (high projections onto w) is the open
+            # ccw half of u and D the open cw half: cross(u, p - center) = w . p - c/2
+            Us = _sort_halfplane(dirs, Us)
+            Ds = _sort_halfplane(dirs, Ds)
+            fan = _try_fan_center(pts, q, line1, (PX, PY, PD), dirs, Us, Ds)
             if fan is not None:
                 recount_regions(fan, config)
                 return fan
     raise PlanecutError(f"six_fan: candidate search exhausted (m={m}, q={q})")
 
 
-def _try_fan_center(pts, q, line1, u, X0, t, U_idx, D_idx):
-    fx, fy = X0[0] + t * u[0], X0[1] + t * u[1]
-    PD = math.lcm(fx.denominator, fy.denominator)
-    PX, PY = int(fx * PD), int(fy * PD)
-    dirs = {i: (p.x * PD - PX, p.y * PD - PY) for i, p in enumerate(pts)}
-    # the center lies on L1, so U (high projections onto w) is the open ccw
-    # half of u and D the open cw half: cross(u, p - center) = w . p - c/2
-    Us = _sort_halfplane(dirs, U_idx)
-    Ds = _sort_halfplane(dirs, D_idx)
+def _try_fan_center(pts, q, line1, center, dirs, Us, Ds):
+    """Fan with cuts line1 and two rays through center = (PX, PY, PD), the
+    point (PX/PD, PY/PD) on line1, or None.  dirs[i] is PD * (pts[i] - center),
+    and Us, Ds are the two sides of line1 in ccw angular order."""
+    PX, PY, PD = center
     su, sd = len(Us), len(Ds)
+    slopes = {canonical_direction(*d) for d in dirs}
 
     # boundary k of U (between Us[k-1] and Us[k]): its ray, and how many D
-    # points lie before the opposite ray (nondecreasing in k)
+    # points lie before the opposite ray.  Ds is in ccw order inside one open
+    # halfplane, so those points are a prefix of Ds, nondecreasing in k.
     rays, below = {}, {}
+    p = 0
     for k in range(q, su - q + 1):
-        r = rays[k] = _ray_between(dirs, Us[k - 1], Us[k])
+        r = rays[k] = _ray_between(dirs, slopes, Us[k - 1], Us[k])
         nr = (-r[0], -r[1])
-        below[k] = sum(1 for i in Ds if _cross(dirs[i], nr) > 0)
+        while p < sd and _cross(dirs[Ds[p]], nr) > 0:
+            p += 1
+        below[k] = p
 
     for a in range(q, su - 2 * q + 1):
         for b in range(a + q, su - q + 1):
@@ -426,13 +475,12 @@ def _try_fan_center(pts, q, line1, u, X0, t, U_idx, D_idx):
                 patterns.append([sig])
             if not ok:
                 continue
-            center = (Fraction(PX, PD), Fraction(PY, PD))
             return RegionAssignment(
                 regions=regions,
                 spill=sorted(spill),
                 cuts=cuts,
                 patterns=patterns,
-                center=center,
+                center=(Fraction(PX, PD), Fraction(PY, PD)),
             )
     return None
 

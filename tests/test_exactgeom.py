@@ -1,3 +1,4 @@
+import json
 from itertools import combinations, product
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from geochroma.exactgeom import (
     COORD_BOUND,
     Configuration,
+    JSON_SLICE,
     GeometryError,
     Point,
     config_from_dict,
@@ -19,6 +21,7 @@ from geochroma.exactgeom import (
     parts_conflict,
     point_in_triangle,
     proper_cross,
+    write_json,
 )
 
 
@@ -140,6 +143,20 @@ def test_config_json_round_trip():
     d = config_to_dict(conv)
     assert "points" not in d
     assert config_from_dict(d) == conv
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param({"parts": [], "coloring": [], "config": {"mode": "convex", "n": 5},
+                  "metadata": {"construction": "edges"}}, id="empty-parts"),
+    pytest.param({"parts": [[i, i + 1, {"b": i % 7, "a": "\u00e9"}]
+                            for i in range(2 * JSON_SLICE + 7)],
+                  "coloring": list(range(JSON_SLICE)), "n": 3}, id="longer-than-a-slice"),
+    pytest.param(config_to_dict(generate_general_position(15, seed=4)), id="configuration"),
+])
+def test_write_json_matches_dumps(tmp_path, data):
+    path = tmp_path / "out.json"
+    write_json(data, path)
+    assert path.read_text() == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_edge_normalization():

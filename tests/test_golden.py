@@ -70,6 +70,38 @@ def test_thm5_digest_at_coordinate_bound(tmp_path):
         "babdb0247e5d9f901cf3f21e3c1ce59cd41b234673f41b7c8f1cc2e49dd14130")
 
 
+@pytest.mark.parametrize("args,n,seed,digest", [
+    # the coords-build point sets: thm5 at n=270, thm3 at q=9 on 69 points
+    pytest.param(["thm5"], 270, 1,
+                 "d10db0c73f91b67bcf42b2e91b357609cee8928043aba56e4848a5b13dfc5494",
+                 id="thm5-gen270-seed1"),
+    pytest.param(["thm5"], 270, 2,
+                 "2cab89b28cd6c587e4ddb45a251c5e943a46027a608ec1f8c68d5d5147f20303",
+                 id="thm5-gen270-seed2"),
+    pytest.param(["thm5"], 270, 3,
+                 "7d64fee116dfbee7d02df42753b64b839e8456ca857d8433b85ef3d7a2416de2",
+                 id="thm5-gen270-seed3"),
+    pytest.param(["thm3", "-q", "9"], 69, 1,
+                 "791325f410b4d8918e3a23dcbe1fa3553f8d3045e1e7b34c6b80bfe819a7e38e",
+                 id="thm3-q9-gen69-seed1"),
+])
+def test_build_on_generated_points_digest(tmp_path, args, n, seed, digest):
+    cfg, out = tmp_path / "pts.json", tmp_path / "out.json"
+    assert main(["gen", "-n", str(n), "--seed", str(seed), "--out", str(cfg)]) == 0
+    assert main(["build", *args, "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_six_parts_digest_n500():
+    # a ham-sandwich search that tries many strip directions before one fits
+    asg = six_parts_two_parallel(generate_general_position(500, seed=3))
+    rec = {"regions": asg.regions, "strips": asg.strips,
+           "cuts": [[c.a, c.b, c.c] for c in asg.cuts]}
+    blob = json.dumps(rec, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "4fe9edf5be4ccc5906fdc80b8149ffb956e16124a27f2a7f209b66fb7841eaf1")
+
+
 def _edges_on_points(tmp_path, n, seed):
     cfg, out = tmp_path / "pts.json", tmp_path / "in.json"
     assert main(["gen", "-n", str(n), "--seed", str(seed), "--out", str(cfg)]) == 0

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +15,8 @@ from geochroma.exactgeom import (
 )
 from geochroma.planecut import (
     PlanecutError,
+    _ham_sandwich,
+    _nudged_line,
     _side_counts,
     nine_regions,
     recount_regions,
@@ -167,21 +170,80 @@ def test_side_counts_exact_at_coordinate_bound():
     pts = [Point(x, y) for x in (-B, B) for y in (-B, B)]
     pts += [Point(B, 0), Point(-B, 1), Point(3, B), Point(-5, -B),
             Point(B, B - 1), Point(-B + 1, B), Point(B, -B + 2), Point(0, 0)]
-    xs = np.array([p.x for p in pts], dtype=np.int64)
-    ys = np.array([p.y for p in pts], dtype=np.int64)
-    label = np.array([i % 3 for i in range(len(pts))], dtype=np.int64)
+
+    def arrays(ps):
+        return (np.array([p.x for p in ps], dtype=np.int64),
+                np.array([p.y for p in ps], dtype=np.int64))
+
+    strips = [arrays(pts[k::3]) for k in range(3)]  # point i lies in strip i % 3
     for P in pts:
-        for Q in pts:
-            if P == Q:
-                continue
+        Qs = [Q for Q in pts if Q != P]
+        left, right = _side_counts(P, *arrays(Qs), strips)  # every Q at once
+        for j, Q in enumerate(Qs):
             want = {1: [0, 0, 0], -1: [0, 0, 0]}
             for i, p in enumerate(pts):
                 # plain-int oracle: sign of the cross product (Q - P) x (p - P)
                 s = (Q.x - P.x) * (p.y - P.y) - (Q.y - P.y) * (p.x - P.x)
                 if s:
                     want[1 if s > 0 else -1][i % 3] += 1
-            left, right = _side_counts(xs, ys, label, P, Q)
-            assert (left.tolist(), right.tolist()) == (want[1], want[-1]), (P, Q)
+            assert (left[j].tolist(), right[j].tolist()) == (want[1], want[-1]), (P, Q)
+
+
+def _ham_sandwich_by_pairs(pts, label, strips, lo):
+    """_ham_sandwich's search in plain Python: one side count per (a, b) pair."""
+    A, _, B = strips
+    for ia in sorted(A):
+        for ib in sorted(B):
+            P, Q = pts[ia], pts[ib]
+            count = {1: [0, 0, 0], -1: [0, 0, 0]}
+            for i, p in enumerate(pts):
+                s = (Q.x - P.x) * (p.y - P.y) - (Q.y - P.y) * (p.x - P.x)
+                if s:
+                    count[1 if s > 0 else -1][label[i]] += 1
+            (al, mp, bl), (ar, mm, br) = count[1], count[-1]
+            for sa, sb in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                want = {(0, 1): al + (sa > 0), (0, -1): ar + (sa < 0),
+                        (1, 1): mp, (1, -1): mm,
+                        (2, 1): bl + (sb > 0), (2, -1): br + (sb < 0)}
+                if min(want.values()) < lo:
+                    continue
+                line = _nudged_line(pts, P, Q, sa, sb)
+                sides = [line.side(p) for p in pts]
+                if 0 in sides:
+                    continue
+                got = Counter(zip(label, sides))
+                if got != {k: v for k, v in want.items() if v}:
+                    raise PlanecutError("nudged line miscounts its sides")
+                return line, sides
+    return None
+
+
+def test_ham_sandwich_matches_pair_scan_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coord = st.one_of(st.sampled_from([-COORD_BOUND, COORD_BOUND]),
+                      st.integers(-COORD_BOUND, COORD_BOUND), st.integers(-20, 20))
+    points = st.lists(st.tuples(coord, coord), min_size=12, max_size=40, unique=True)
+
+    @hyp.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hyp.given(points, st.data())
+    def check(xy, data):
+        n = len(xy)
+        pts = [Point(x, y) for x, y in xy]
+        label = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        strips = tuple([i for i in range(n) if label[i] == k] for k in range(3))
+        hyp.assume(strips[0] and strips[2])
+        lo = data.draw(st.integers(0, n // 6))
+
+        def outcome(search):
+            try:
+                return search(pts, label, strips, lo)
+            except PlanecutError as exc:
+                return str(exc)
+
+        assert outcome(_ham_sandwich) == outcome(_ham_sandwich_by_pairs)
+
+    check()
 
 
 def test_six_parts_rejects_coordinates_above_bound():
