@@ -1,15 +1,18 @@
 """Conflict graphs, colorings, clique index, census and bound evaluators.
 
 Conflict graphs are stored as bitmask adjacency rows, built by one pairwise
-helper.  The exact solvers are deterministic and keep their own explicit
-stacks, so no search depth is limited by Python's recursion limit: DSATUR ties
-break to the lowest part index, the exact colorer deepens the palette one
-color at a time branching on the lowest-index uncolored part, and the clique
-search explores candidates in ascending order.  The maximum intersecting
-family and tau(p) searches are maximum-clique queries on graphs built by the
-same helper.  All threshold comparisons involving the irrational census
-parameter are decided by exact integer arithmetic (squaring), never floating
-point.
+helper.  In coordinates mode each part carries its exact integer bounding
+box, and `parts_conflict` runs only on pairs whose boxes overlap: disjoint
+boxes prove two parts conflict-free, so graphs and verdicts are those of the
+plain all-pairs check.  The exact solvers are deterministic and keep their
+own explicit stacks, so no search depth is limited by Python's recursion
+limit: DSATUR ties break to the lowest part index, the exact colorer deepens
+the palette one color at a time branching on the lowest-index uncolored part,
+and the clique search explores candidates in ascending order.  The maximum
+intersecting family and tau(p) searches are maximum-clique queries on graphs
+built by the same helper.  All threshold comparisons involving the irrational
+census parameter are decided by exact integer arithmetic (squaring), never
+floating point.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
-from .exactgeom import Configuration, convex_noncrossing, parts_conflict, point_in_triangle
+from .exactgeom import (
+    Configuration,
+    boxes_apart,
+    convex_noncrossing,
+    part_box,
+    parts_conflict,
+    point_in_triangle,
+)
 from .constructions import Coloring, Decomposition
 
 
@@ -57,28 +67,52 @@ def _graph(items, related) -> ConflictGraph:
     return ConflictGraph(m=m, adj=tuple(adj))
 
 
+def _boxed_conflict(config: Configuration, a, b) -> bool:
+    """parts_conflict on (vertices, box) items, skipped when the boxes are apart."""
+    return not boxes_apart(a[1], b[1]) and parts_conflict(config, a[0], b[0])
+
+
+def _conflict_items(config: Configuration, parts: list):
+    """The items and relation `_graph` needs for the conflicts among `parts`:
+    coordinate parts go with their boxes, convex parts alone."""
+    if config.mode == "convex":
+        return parts, partial(parts_conflict, config)
+    return [(v, part_box(config, v)) for v in parts], partial(_boxed_conflict, config)
+
+
 def conflict_graph(d: Decomposition) -> ConflictGraph:
-    """All-pairs conflict relation; quadratic in the number of parts."""
-    return _graph([p.vertices for p in d.parts], partial(parts_conflict, d.config))
+    """All-pairs conflict relation; quadratic in the number of parts.
+
+    In coordinates mode a pair is tested by `parts_conflict` only when the
+    parts' bounding boxes overlap."""
+    return _graph(*_conflict_items(d.config, [p.vertices for p in d.parts]))
 
 
 def verify_coloring(d: Decomposition, c: Coloring) -> list[tuple[int, int]]:
     """Violating part pairs (same color, conflicting); empty iff proper.
 
-    In convex mode a class is first checked by one `convex_noncrossing` scan,
-    and its pairs are listed by `parts_conflict` only if the scan rejects it."""
+    The pairs come class by class, in order of each class's first part, and
+    by part index within a class.  In convex mode a class is first checked by
+    one `convex_noncrossing` scan, and its pairs are listed by `parts_conflict`
+    only if the scan rejects it.  In coordinates mode the boxes of the parts in
+    classes of two or more are computed once, and `parts_conflict` tests only
+    the pairs whose boxes overlap."""
     if len(c.colors) != len(d.parts):
         raise ChromaError("coloring does not cover all parts")
     groups: dict[int, list[int]] = {}
     for i, col in enumerate(c.colors):
         groups.setdefault(col, []).append(i)
-    convex = d.config.mode == "convex"
+    config = d.config
     bad = []
     for members in groups.values():
-        if convex and convex_noncrossing([d.parts[i].vertices for i in members]):
+        if len(members) < 2:
             continue
-        for i, j in combinations(members, 2):
-            if parts_conflict(d.config, d.parts[i].vertices, d.parts[j].vertices):
+        parts = [d.parts[i].vertices for i in members]
+        if config.mode == "convex" and convex_noncrossing(parts):
+            continue
+        items, related = _conflict_items(config, parts)
+        for (i, a), (j, b) in combinations(zip(members, items), 2):
+            if related(a, b):
                 bad.append((i, j))
     return bad
 

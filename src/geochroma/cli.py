@@ -59,7 +59,8 @@ class CliError(Exception):
 
 
 def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
-    digest = hashlib.sha256(open(out_path, "rb").read()).hexdigest()
+    with open(out_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     manifest = {
         "command": command,
         "parameters": params,

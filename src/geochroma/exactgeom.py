@@ -258,6 +258,24 @@ def parts_conflict(config: Configuration, A: Iterable[int], B: Iterable[int]) ->
     return False
 
 
+def part_box(config: Configuration, vertices: Iterable[int]) -> tuple[int, int, int, int]:
+    """The closed bounding box (x-min, x-max, y-min, y-max) of a part's points."""
+    pts = [config.points[v] for v in vertices]
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def boxes_apart(a, b) -> bool:
+    """True iff the closed boxes a and b (see part_box) are disjoint.
+
+    A part's edges lie in its box, so parts whose boxes are apart share no
+    vertex and have no crossing edges: parts_conflict is False for them.  The
+    test is strict, so boxes that only touch are not apart: parts that share a
+    vertex touch at least there, and parts_conflict decides them."""
+    return a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]
+
+
 def point_in_triangle(p, a, b, c, closed: bool = False) -> bool:
     """Exact containment test; p may have rational coordinates."""
     s1 = orient(p, a, b)

@@ -84,4 +84,5 @@ def test_criterion_9_searches():
     assert rep["details"]["edges_n5"]["exact"]
     # reported against the references, not asserted equal to them
     assert rep["details"]["triangles_n6"]["conjectured_reference"] == 5
+    assert "own guess" in rep["details"]["triangles_n6"]["reference_source"]
     assert rep["details"]["edges_n5"]["reference_n"] == 5

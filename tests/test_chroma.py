@@ -4,8 +4,18 @@ from itertools import combinations
 
 import pytest
 
-from geochroma.exactgeom import convex_configuration, generate_general_position, parts_conflict
+from geochroma.exactgeom import (
+    boxes_apart,
+    convex_configuration,
+    coordinate_configuration,
+    generate_general_position,
+    orient,
+    part_box,
+    parts_conflict,
+)
 from geochroma.constructions import (
+    Decomposition,
+    Part,
     thm3_construction,
     thm4_construction,
     thm32_construction,
@@ -71,6 +81,18 @@ def test_verify_coloring_basics():
         verify_coloring(d, Coloring(colors=(0,)))
 
 
+def _all_pairs_violations(d, colors):
+    # every same-color conflicting pair, by class in order of first
+    # appearance, then lexicographically
+    first = {}
+    for i, col in enumerate(colors):
+        first.setdefault(col, i)
+    verts = [p.vertices for p in d.parts]
+    bad = [(i, j) for i, j in combinations(range(len(verts)), 2)
+           if colors[i] == colors[j] and parts_conflict(d.config, verts[i], verts[j])]
+    return sorted(bad, key=lambda ij: (first[colors[ij[0]]], ij))
+
+
 def test_verify_coloring_matches_all_pairs_property():
     # recolored thm32 k=4: parts moved into other parts' classes (mostly
     # conflicts) or into fresh ones (which leaves both classes proper)
@@ -78,17 +100,6 @@ def test_verify_coloring_matches_all_pairs_property():
     st = hyp.strategies
     d, c = thm32_construction(4)
     m = len(d.parts)
-    verts = [p.vertices for p in d.parts]
-
-    def all_pairs(colors):
-        # every same-color conflicting pair, by class in order of first
-        # appearance, then lexicographically
-        first = {}
-        for i, col in enumerate(colors):
-            first.setdefault(col, i)
-        bad = [(i, j) for i, j in combinations(range(m), 2)
-               if colors[i] == colors[j] and parts_conflict(d.config, verts[i], verts[j])]
-        return sorted(bad, key=lambda ij: (first[colors[ij[0]]], ij))
 
     @hyp.settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @hyp.given(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m + 9)), max_size=12))
@@ -96,7 +107,63 @@ def test_verify_coloring_matches_all_pairs_property():
         colors = list(c.colors)
         for i, j in moves:  # part i takes part j's color, or a fresh one
             colors[i] = c.colors[j] if j < m else c.palette + j - m
-        assert verify_coloring(d, Coloring(colors=tuple(colors))) == all_pairs(colors)
+        bad = verify_coloring(d, Coloring(colors=tuple(colors)))
+        assert bad == _all_pairs_violations(d, colors)
+
+    check()
+
+
+def _check_box_prefilter(points, parts, colors):
+    # the bounding-box prefilter never drops a conflict: verify_coloring and
+    # conflict_graph equal the plain all-pairs parts_conflict check; returns
+    # the violating pairs
+    cfg = coordinate_configuration(points)
+    d = Decomposition(config=cfg, parts=[Part(vertices=tuple(sorted(p))) for p in parts])
+    verts = [p.vertices for p in d.parts]
+    m = len(verts)
+    adj = [0] * m
+    for i, j in combinations(range(m), 2):
+        conflict = parts_conflict(cfg, verts[i], verts[j])
+        assert not (conflict and boxes_apart(part_box(cfg, verts[i]), part_box(cfg, verts[j])))
+        adj[i] |= conflict << j
+        adj[j] |= conflict << i
+    assert conflict_graph(d).adj == tuple(adj)
+    bad = verify_coloring(d, Coloring(colors=tuple(colors)))
+    assert bad == _all_pairs_violations(d, colors)
+    return bad
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (2, 1), (4, 3)],
+    [(-2**30, -2**30), (0, 1), (2**30, 2**30)],
+])
+def test_box_prefilter_keeps_touching_boxes(points):
+    # two edges sharing their middle point, whose boxes meet only there
+    assert _check_box_prefilter(points, [(0, 1), (1, 2)], [0, 0]) == [(0, 1)]
+
+
+def test_box_prefilter_matches_all_pairs_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # the coordinate bound, a small grid (equal coordinates: touching boxes)
+    # and anything between
+    coord = st.one_of(st.sampled_from([-2**30, -2**30 + 1, 0, 2**30 - 1, 2**30]),
+                      st.integers(-3, 3), st.integers(-2**30, 2**30))
+
+    @hyp.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hyp.given(st.lists(st.tuples(coord, coord), min_size=3, max_size=9), st.data())
+    def check(raw, data):
+        points = []  # the raw points in general position with those kept before
+        for p in raw:
+            if p not in points and all(orient(a, b, p) for a, b in combinations(points, 2)):
+                points.append(p)
+        hyp.assume(len(points) >= 2)
+        vertex = st.integers(0, len(points) - 1)
+        parts = data.draw(st.lists(st.sets(vertex, min_size=2, max_size=min(4, len(points))),
+                                   min_size=1, max_size=10))
+        colors = data.draw(st.lists(st.integers(0, 2), min_size=len(parts),
+                                    max_size=len(parts)))
+        _check_box_prefilter(points, parts, colors)
 
     check()
 
@@ -276,7 +343,7 @@ def test_max_intersecting_family_edges_n5():
 def test_max_intersecting_family_triangles_n6():
     res = max_intersecting_family(convex_configuration(6), 3)
     assert res.exact
-    # the exhaustive optimum is 4; the conjectured (n/3)^2 + 1 = 5 is not
+    # the exhaustive optimum is 4; the guessed reference (n/3)^2 + 1 = 5 is not
     # attainable at n = 6 (no five edge-disjoint triangles fit in K_6)
     assert len(res.family) == 4
 

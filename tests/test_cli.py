@@ -20,15 +20,36 @@ from geochroma.exactgeom import (
 from itertools import combinations
 
 
-def test_cli_import_does_not_load_numpy():
-    # only planecut's side counts use numpy, and they import it themselves
+def _child(code, *flags):
+    """Run `code` in a fresh interpreter that imports geochroma from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = "import sys, geochroma.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_does_not_load_numpy(tmp_path):
+    # only planecut's side counts use numpy, and they import it themselves
+    out = _child("import sys, geochroma.cli; print('numpy' in sys.modules)").stdout
     assert out.strip() == "False"
+    # nor do the coordinate-mode conflict checks of `color` and `verify`
+    pts, dec, col = (str(tmp_path / f) for f in ("pts.json", "dec.json", "col.json"))
+    assert main(["gen", "-n", "12", "--seed", "1", "--out", pts]) == 0
+    assert main(["build", "edges", "--config", pts, "--out", dec]) == 0
+    for args in (["color", dec, "--mode", "greedy", "--out", col], ["verify", col]):
+        code = ("import sys; from geochroma.cli import main; "
+                f"rc = main({args!r}); print(rc, 'numpy' in sys.modules)")
+        assert _child(code).stdout.splitlines()[-1] == "0 False"
+
+
+def test_out_commands_close_their_files(tmp_path):
+    # the manifest digest reads the output back; dev mode reports any file
+    # left for the garbage collector to close
+    code = ("from geochroma.cli import main; "
+            f"main(['gen', '-n', '9', '--seed', '1', '--out', {str(tmp_path / 'p.json')!r}])")
+    err = _child(code, "-X", "dev", "-W", "error::ResourceWarning").stderr
+    assert "ResourceWarning" not in err
 
 
 def test_gen_convex(tmp_path):

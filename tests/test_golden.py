@@ -15,7 +15,9 @@ from geochroma.chroma import conflict_graph, greedy_color, verify_coloring
 from geochroma.cli import main
 from geochroma.constructions import (
     Coloring,
+    load_decomposition,
     thm4_construction,
+    thm5_construction,
     thm32_construction,
     trivial_edge_decomposition,
 )
@@ -148,6 +150,25 @@ def test_color_output_digest(tmp_path, capsys, build, color, printed, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("build,n,seed,m,digest", [
+    # color-search's `color edges.json` input
+    pytest.param(["edges"], 32, 1, 496,
+                 "a4b023c0f21e78354d4550ff6511859124569efb623c59cfe43206e9ec4438ec",
+                 id="edges-gen32-seed1"),
+    # K4s and singleton edges on one point set
+    pytest.param(["thm3", "-q", "3"], 27, 2, 261,
+                 "61b71605d3dce95dd242d45059e22e1faf11f2ba3cca347a7b406e1d8a26d495",
+                 id="thm3-q3-gen27-seed2"),
+])
+def test_coordinate_conflict_graph_digest(tmp_path, build, n, seed, m, digest):
+    cfg, out = tmp_path / "pts.json", tmp_path / "in.json"
+    assert main(["gen", "-n", str(n), "--seed", str(seed), "--out", str(cfg)]) == 0
+    assert main(["build", *build, "--config", str(cfg), "--out", str(out)]) == 0
+    g = conflict_graph(load_decomposition(out)[0])
+    blob = json.dumps(list(g.adj), separators=(",", ":"))
+    assert (g.m, hashlib.sha256(blob.encode()).hexdigest()) == (m, digest)
+
+
 def test_field_tables_digest():
     # every supported GF(q), q <= 32: the axiom tests accept any relabelling
     # of a field, and a relabelled field changes every plane built on it
@@ -205,6 +226,16 @@ def _recolored(count, seed):
     return d, Coloring(colors=tuple(colors))
 
 
+def _recolored_thm5(count, seed):
+    # the coordinates twin of _recolored: thm5 on `gen -n 100 --seed 3`
+    d, c = thm5_construction(generate_general_position(100, seed=3))
+    rng = random.Random(seed)
+    colors = list(c.colors)
+    for i in rng.sample(range(len(colors)), count):
+        colors[i] = rng.randrange(c.palette)
+    return d, Coloring(colors=tuple(colors))
+
+
 def _one_color():
     d = thm4_construction(15).decomposition
     return d, Coloring(colors=(0,) * len(d.parts))
@@ -227,6 +258,12 @@ def _merged_edges():
     pytest.param(lambda: _recolored(300, 300), 717,
                  "8117ff90298ebf7fb62e475fe5e4595fbcd55f524826d3fffb63db808f1baa03",
                  id="thm32-k4-recolor300"),
+    pytest.param(lambda: _recolored_thm5(10, 10), 7,
+                 "a9bd480c28a2cd8f18ec3578007bdc9e81c838f45525c500b8a2247d1c5a0b04",
+                 id="thm5-n100-recolor10"),
+    pytest.param(lambda: _recolored_thm5(300, 300), 241,
+                 "1b476d99673b30c7b98344a7cd5be88da1923fb78479f1ce662013bf89827111",
+                 id="thm5-n100-recolor300"),
     pytest.param(_one_color, 855,
                  "744956517cfc22abd48c72df37f92bdb22b9a87569f1f93a616c62c1b128718e",
                  id="thm4-n15-one-color"),
