@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .exactgeom import (
     Configuration,
+    InputError,
     boxes_apart,
     convex_noncrossing,
     part_box,
@@ -33,10 +34,6 @@ from .exactgeom import (
     point_in_triangle,
 )
 from .constructions import Coloring, Decomposition
-
-
-class ChromaError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,7 @@ def verify_coloring(d: Decomposition, c: Coloring) -> list[tuple[int, int]]:
     classes of two or more are computed once, and `parts_conflict` tests only
     the pairs whose boxes overlap."""
     if len(c.colors) != len(d.parts):
-        raise ChromaError("coloring does not cover all parts")
+        raise InputError("coloring does not cover all parts")
     groups: dict[int, list[int]] = {}
     for i, col in enumerate(c.colors):
         groups.setdefault(col, []).append(i)
@@ -353,17 +350,17 @@ def triangle_census(d: Decomposition, c: Coloring, x=None) -> TriangleCensus:
     case (length exactly n/x) classified large; the comparison is exact.
     """
     if d.config.mode != "convex":
-        raise ChromaError("triangle_census needs a convex configuration")
+        raise InputError("triangle_census needs a convex configuration")
     xa = _as_threshold(x)
     if xa.cmp_rational(3) < 0:
-        raise ChromaError("threshold x must be >= 3")
+        raise InputError("threshold x must be >= 3")
     n = d.config.n
     limit = xa.floor() - 2
     lengths: dict[int, int] = {}
     per_class: dict[int, int] = {}
     for i, part in enumerate(d.parts):
         if len(part.vertices) > 3:
-            raise ChromaError(f"part {i} is not a triangle or edge: {part.vertices}")
+            raise InputError(f"part {i} is not a triangle or edge: {part.vertices}")
         if len(part.vertices) != 3:
             continue
         t = triangle_length(n, part.vertices)
@@ -406,7 +403,7 @@ def bound_evaluators(n: int, variant: str, c=0, x=None) -> BoundValue:
     rational intervals.
     """
     if n < 3:
-        raise ChromaError("n must be >= 3")
+        raise InputError("n must be >= 3")
     c = Fraction(c)
     binom = Fraction(n * (n - 1), 2)
     if variant == "prop1":
@@ -440,7 +437,7 @@ def bound_evaluators(n: int, variant: str, c=0, x=None) -> BoundValue:
         return BoundValue(
             6 * xlo * (xlo - 2) / (xhi - 6), 6 * xhi * (xhi - 2) / (xlo - 6)
         )
-    raise ChromaError(f"unknown bound variant {variant!r}")
+    raise InputError(f"unknown bound variant {variant!r}")
 
 
 # --- exhaustive searches ---------------------------------------------------------------
@@ -459,7 +456,7 @@ def max_intersecting_family(config: Configuration, k: int, budget: int = 2_000_0
     """Maximum family of pairwise-conflicting, pairwise edge-disjoint k-vertex
     parts: a maximum clique over all candidate parts."""
     if k not in (2, 3):
-        raise ChromaError("part size must be 2 or 3")
+        raise InputError("part size must be 2 or 3")
     cands = list(combinations(range(config.n), k))
     g = _graph(cands, lambda a, b: _edge_disjoint(a, b) and parts_conflict(config, a, b))
     res = clique_index(g, budget=budget)
@@ -476,11 +473,11 @@ def tau_point(config: Configuration, p, budget: int = 500_000) -> TauResult:
     contains p: a maximum clique of the edge-disjointness graph on those
     triangles, exact when the search closes within budget."""
     if config.mode != "coordinates":
-        raise ChromaError("tau_point needs a coordinates configuration")
+        raise InputError("tau_point needs a coordinates configuration")
     pts = config.points
     px, py = (p.x, p.y) if hasattr(p, "x") else (p[0], p[1])
     if any(q.x == px and q.y == py for q in pts):
-        raise ChromaError("p must not be a vertex")
+        raise InputError("p must not be a vertex")
     cands = [
         tri
         for tri in combinations(range(config.n), 3)

@@ -8,8 +8,10 @@
     geochroma render dec.json --out dec.svg --color 0
     geochroma experiment all
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, malformed input
-or an exhausted partition search.  Every command honors --seed and produces
+Exit codes: 0 success; 1 validation failed; 2 an InputError (a bad argument,
+a malformed file, an unsupported order or an exhausted partition search) or
+an OSError, reported as one `error:` line on stderr.  Any other exception is
+a bug and shows its traceback.  Every command honors --seed and produces
 byte-identical outputs for identical inputs; a run manifest (command,
 parameters, seed, version, timing, output digests) is written next to each
 --out file.
@@ -27,6 +29,7 @@ import time
 from . import __version__
 from .exactgeom import (
     GEN_BOUND,
+    InputError,
     config_to_dict,
     convex_configuration,
     generate_general_position,
@@ -34,7 +37,6 @@ from .exactgeom import (
     save_config,
 )
 from .constructions import (
-    ConstructionError,
     largest_thm3_q,
     load_decomposition,
     save_decomposition,
@@ -45,17 +47,12 @@ from .constructions import (
     trivial_edge_decomposition,
     validate_decomposition,
 )
-from .planecut import PlanecutError
 from .chroma import conflict_graph, exact_chromatic_index, greedy_color, verify_coloring
 from .render import render_svg
-from .experiments import SUITES, run_all, run_suites
+from .experiments import SUITES, run_suites
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
-
-
-class CliError(Exception):
-    """Bad or missing command-line parameters (exit 2)."""
 
 
 def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
@@ -93,14 +90,14 @@ def cmd_gen(args) -> int:
 def _build_config(args, need_mode):
     if args.config:
         if args.n is not None:
-            raise CliError("give -n or --config, not both")
+            raise InputError("give -n or --config, not both")
         cfg = load_config(args.config)
         if need_mode is not None and cfg.mode != need_mode:
-            raise CliError(f"{args.construction} needs a {need_mode} configuration")
+            raise InputError(f"{args.construction} needs a {need_mode} configuration")
         return cfg
     mode = need_mode or args.mode
     if args.n is None:
-        raise CliError("provide -n or --config")
+        raise InputError("provide -n or --config")
     if mode == "convex":
         return convex_configuration(args.n)
     return generate_general_position(args.n, seed=args.seed)
@@ -111,13 +108,13 @@ def cmd_build(args) -> int:
     coloring = None
     name = args.construction
     if args.config and name in ("thm4", "thm32"):
-        raise CliError(f"{name} builds its own convex configuration; it takes no --config")
+        raise InputError(f"{name} builds its own convex configuration; it takes no --config")
     if name == "edges":
         cfg = _build_config(args, None)  # any configuration mode works
         decomp = trivial_edge_decomposition(cfg)
     elif name == "thm4":
         if args.n is None:
-            raise CliError("thm4 needs -n (multiple of 3)")
+            raise InputError("thm4 needs -n (multiple of 3)")
         decomp, coloring = thm4_construction(args.n)
     elif name == "thm3":
         cfg = None
@@ -126,7 +123,7 @@ def cmd_build(args) -> int:
         q = args.q
         if q is None:
             if cfg is None:
-                raise CliError("thm3 needs -q, or -n/--config to derive it")
+                raise InputError("thm3 needs -q, or -n/--config to derive it")
             q = largest_thm3_q(cfg.n)
         decomp, coloring = thm3_construction(q, config=cfg, seed=args.seed)
     elif name == "thm5":
@@ -134,10 +131,10 @@ def cmd_build(args) -> int:
         decomp, coloring = thm5_construction(cfg, threshold=args.threshold)
     elif name == "thm32":
         if args.k is None:
-            raise CliError("thm32 needs -k (even, >= 4)")
+            raise InputError("thm32 needs -k (even, >= 4)")
         decomp, coloring = thm32_construction(args.k)
     else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown construction {name}")
+        raise InputError(f"unknown construction {name}")
     out = args.out or f"{name}.json"
     save_decomposition(decomp, out, coloring=coloring)
     _write_manifest(out, f"build {name}",
@@ -233,10 +230,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.suite == "all":
-        result = run_all(fail_fast=args.fail_fast)
-    else:
-        result = run_suites([args.suite], fail_fast=args.fail_fast)
+    result = run_suites(list(SUITES) if args.suite == "all" else [args.suite])
     for rep in result["criteria"]:
         status = "PASS" if rep["pass"] else "FAIL"
         print(f"{status} criterion {rep['criterion']} ({rep['name']}) "
@@ -302,7 +296,6 @@ def _parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("experiment", help="run acceptance suites")
     e.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    e.add_argument("--fail-fast", action="store_true")
     e.add_argument("--out")
     e.set_defaults(func=cmd_experiment)
     return ap
@@ -313,7 +306,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConstructionError, PlanecutError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

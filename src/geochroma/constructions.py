@@ -13,15 +13,15 @@ part covers into a singleton part; every family returns a Construction.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import NamedTuple
 
 from .exactgeom import (
     Configuration,
+    InputError,
     boxes_apart,
+    check_coordinate_bound,
     config_from_dict,
     config_to_dict,
     convex_configuration,
@@ -31,10 +31,10 @@ from .exactgeom import (
     part_edges,
     proper_cross,
     convex_cross,
+    read_json,
     write_json,
 )
 from .planecut import (
-    PlanecutError,
     nine_fit,
     nine_regions,
     projection_splits,
@@ -52,10 +52,6 @@ from .designs import (
 )
 
 
-class ConstructionError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class Part:
     """A vertex subset of size >= 2; induced, hence complete."""
@@ -65,9 +61,9 @@ class Part:
 
     def __post_init__(self):
         if len(self.vertices) < 2:
-            raise ConstructionError(f"part too small: {self.vertices}")
+            raise InputError(f"part too small: {self.vertices}")
         if tuple(sorted(set(self.vertices))) != self.vertices:
-            raise ConstructionError(f"part not sorted/distinct: {self.vertices}")
+            raise InputError(f"part not sorted/distinct: {self.vertices}")
 
     def edges(self):
         return part_edges(self.vertices)
@@ -143,7 +139,7 @@ def _finalize(config, raw_parts, metadata, colors=None) -> Construction:
 
 def trivial_edge_decomposition(config: Configuration) -> Decomposition:
     if config.n < 2:
-        raise ConstructionError("need n >= 2")
+        raise InputError("need n >= 2")
     return _finalize(config, [], {"construction": "edges", "n": config.n}).decomposition
 
 
@@ -157,7 +153,7 @@ def thm4_construction(n: int) -> Construction:
     of matching k is completed to a triangle with vertex k of the first arc.
     """
     if n % 3 != 0 or n < 6:
-        raise ConstructionError(f"n must be a multiple of 3, >= 6; got {n}")
+        raise InputError(f"n must be a multiple of 3, >= 6; got {n}")
     m = n // 3
     config = convex_configuration(n)
     raw = []
@@ -182,7 +178,7 @@ def largest_thm3_q(n: int) -> int:
     while q > 2 and not plane_order_supported(q):
         q -= 1
     if q <= 2:
-        raise ConstructionError(f"no prime power q > 2 fits 7q+6 <= {n}")
+        raise InputError(f"no prime power q > 2 fits 7q+6 <= {n}")
     return q
 
 
@@ -196,18 +192,18 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
     singleton parts.
     """
     if q <= 2 or not plane_order_supported(q):
-        raise ConstructionError(f"q must be a supported prime power > 2, got {q}")
+        raise InputError(f"q must be a supported prime power > 2, got {q}")
     n = 7 * q + 6
     if config is None:
         config = generate_general_position(n, seed=seed)
     if config.mode != "coordinates" or config.n < n:
-        raise ConstructionError(f"need a coordinates configuration of >= {n} points")
+        raise InputError(f"need a coordinates configuration of >= {n} points")
     n = config.n
     pts = config.points
 
     split = next(projection_splits(pts, q), None)
     if split is None:
-        raise ConstructionError("no strip direction separates the label strip")
+        raise InputError("no strip direction separates the label strip")
     _, strip_idx, upper_idx, _ = split
 
     sub_pts = tuple(pts[i] for i in upper_idx)
@@ -284,11 +280,11 @@ def thm32_construction(k: int) -> Construction:
             placed.append((row.e123, a_a))
             base = max(base + c1 + c2, a_a + row.e123[0] + row.e123[1]) + 1
         if base > n:
-            raise ConstructionError(f"box {box}: chains overflow the cycle")
+            raise AssertionError(f"box {box}: chains overflow the cycle")
         blocks = [_anchored_block(n, a, t[0], t[1]) for t, a in placed]
         for (ta, ba), (tb, bb) in combinations(zip([p[0] for p in placed], blocks), 2):
             if parts_conflict(config, ba, bb):
-                raise ConstructionError(
+                raise AssertionError(
                     f"box {box}: triples {ta} and {tb} conflict when placed"
                 )
         for triple, anchor in placed:
@@ -300,16 +296,16 @@ def thm32_construction(k: int) -> Construction:
         for s in range(n):
             blk = _anchored_block(n, anchor + s, d1, d2)
             if blk in block_color:
-                raise ConstructionError(f"block {blk} generated twice")
+                raise AssertionError(f"block {blk} generated twice")
             block_color[blk] = (box - 1) * n + s
     if set(block_color) != set(design.blocks):
-        raise ConstructionError("anchored orbits disagree with the cyclic design")
+        raise AssertionError("anchored orbits disagree with the cyclic design")
 
     raw = [Part(vertices=blk, tag="triangle") for blk in design.blocks]
     colors = [block_color[p.vertices] for p in raw]
     palette = max(colors) + 1
     if palette != n * (k // 2 + 1):
-        raise ConstructionError(f"palette {palette} != n(k/2+1) = {n * (k // 2 + 1)}")
+        raise AssertionError(f"palette {palette} != n(k/2+1) = {n * (k // 2 + 1)}")
     meta = {
         "construction": "thm32",
         "k": k,
@@ -350,14 +346,19 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> Constructio
     into 12 triangles; the explicit sharing rules use at most nine colors per
     K9, the three strips recurse sharing one color block, and all remaining
     edges become singleton parts colored greedily at the end.  Triangles that
-    would reuse an already-covered edge are discarded.
+    would reuse an already-covered edge are discarded.  A level whose
+    partition search is exhausted places no triangles; a failed planecut
+    check raises AssertionError.
     """
     if config.mode != "coordinates":
-        raise ConstructionError("thm5 needs a coordinates configuration")
+        raise InputError("thm5 needs a coordinates configuration")
     n = config.n
     if n < 2:
-        raise ConstructionError("need n >= 2")
+        raise InputError("need n >= 2")
     pts = config.points
+    # six_parts_two_parallel checks the bound too, but build() reads its
+    # InputError as an exhausted search, so an out-of-bound input fails here
+    check_coordinate_bound(pts)
     used: set[tuple[int, int]] = set()
     levels: list[dict] = []
     raw: list[Part] = []
@@ -374,7 +375,7 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> Constructio
         sub = Configuration(mode="coordinates", n=m, points=sub_pts)
         try:
             base = six_parts_two_parallel(sub)
-        except PlanecutError:
+        except InputError:  # the search is exhausted, or m < 6
             return 0
         q = next((c for c in range(m // 9, 7, -1)
                   if nine_fit(base, c) and plane_order_supported(c)), None)
@@ -490,37 +491,38 @@ def decomposition_to_dict(d: Decomposition, coloring=None) -> dict:
     return out
 
 
-def _ints_below(values: list, hi: float) -> bool:
+def _ints_below(values: list, hi: int) -> bool:
     """True iff every value is an int in [0, hi)."""
     return (set(map(type, values)) <= {int}
             and min(values, default=0) >= 0 and max(values, default=-1) < hi)
 
 
 def decomposition_from_dict(data: dict):
-    """Inverse of decomposition_to_dict; ConstructionError (or GeometryError,
-    for the configuration) on a malformed file."""
+    """Inverse of decomposition_to_dict; InputError on a malformed file.
+    Color ids must be below the number of parts, as every coloring this
+    package writes uses ids 0..palette-1 and its palette is at most that."""
     if not isinstance(data, dict) or "config" not in data or "parts" not in data:
-        raise ConstructionError('decomposition needs "config" and "parts"')
+        raise InputError('decomposition needs "config" and "parts"')
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
-        raise ConstructionError('"metadata" must be an object')
+        raise InputError('"metadata" must be an object')
     config = config_from_dict(data["config"])
     raw = data["parts"]
     if not isinstance(raw, list) or not all(
         isinstance(p, dict) and isinstance(p.get("vertices"), list) for p in raw
     ):
-        raise ConstructionError('"parts" must be a list of {"vertices": [...]} objects')
+        raise InputError('"parts" must be a list of {"vertices": [...]} objects')
     if not _ints_below(list(chain.from_iterable(p["vertices"] for p in raw)), config.n):
-        raise ConstructionError(f"part vertices must be ints in [0, {config.n})")
+        raise InputError(f"part vertices must be ints in [0, {config.n})")
     parts = [Part(vertices=tuple(p["vertices"]), tag=p.get("tag", "part")) for p in raw]
     d = Decomposition(config=config, parts=parts, metadata=metadata)
     coloring = None
     cols = data.get("coloring")
     if cols is not None:
         if not (isinstance(cols, list) and len(cols) == len(parts)
-                and _ints_below(cols, math.inf)):
-            raise ConstructionError(
-                f'"coloring" must list one non-negative int per part ({len(parts)})'
+                and _ints_below(cols, len(parts))):
+            raise InputError(
+                f'"coloring" must list one color id in [0, {len(parts)}) per part'
             )
         coloring = Coloring(colors=tuple(cols))
     return d, coloring
@@ -531,5 +533,4 @@ def save_decomposition(d: Decomposition, path, coloring=None) -> None:
 
 
 def load_decomposition(path):
-    with open(path) as fh:
-        return decomposition_from_dict(json.load(fh))
+    return decomposition_from_dict(read_json(path))

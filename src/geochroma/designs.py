@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-
-class DesignError(ValueError):
-    pass
+from .exactgeom import InputError
 
 
 # irreducible polynomials over GF(p), coefficients little-endian, monic
@@ -47,7 +45,7 @@ class FiniteField:
 
     def __init__(self, q: int):
         if not plane_order_supported(q):
-            raise DesignError(
+            raise InputError(
                 f"GF({q}) is not supported: q must be prime or one of "
                 f"{sorted(_IRREDUCIBLE)}"
             )
@@ -78,7 +76,7 @@ class FiniteField:
         for a in range(1, q):
             row = self.mul_table[a]
             if 1 not in row:
-                raise DesignError(f"element {a} has no inverse in GF({q})")
+                raise AssertionError(f"element {a} has no inverse in GF({q})")
             self.inv_table[a] = row.index(1)
 
     def add(self, a: int, b: int) -> int:
@@ -92,7 +90,7 @@ class FiniteField:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise DesignError("zero has no inverse")
+            raise InputError("zero has no inverse")
         return self.inv_table[a]
 
 
@@ -174,7 +172,7 @@ def pencil_through(plane: ProjectivePlane, z: int, m: int) -> list[list[int]]:
     """m lines through z, each returned with z removed (pairwise disjoint q-sets)."""
     lines = sorted(plane.point_lines[z])
     if m > len(lines):
-        raise DesignError(
+        raise InputError(
             f"only {len(lines)} lines pass through a point, requested {m}"
         )
     return [sorted(plane.line_points[li] - {z}) for li in lines[:m]]
@@ -201,7 +199,7 @@ def pencil_transversals(plane: ProjectivePlane, m: int) -> list[tuple[int, ...]]
             if hit is not None:
                 pos[hit[0]] = hit[1]
         if None in pos:
-            raise DesignError(f"line {li} misses a pencil line")
+            raise AssertionError(f"line {li} misses a pencil line")
         out.append(tuple(pos))
     return out
 
@@ -315,7 +313,7 @@ def difference_triples(k: int) -> DifferenceTripleTable:
     below is authoritative: any inconsistency fails loudly, naming the row.
     """
     if k % 2 != 0 or k < 4:
-        raise DesignError(f"difference_triples requires even k >= 4, got {k}")
+        raise InputError(f"difference_triples requires even k >= 4, got {k}")
     n = 18 * k + 1
     rows = []
     for c in range(k):
@@ -337,34 +335,34 @@ def _validate_table(table: DifferenceTripleTable) -> None:
     seen: dict[int, int] = {}
     for ridx, row in enumerate(table.rows):
         if not 1 <= row.box <= k // 2 + 1:
-            raise DesignError(f"row {ridx}: box label {row.box} out of range")
+            raise AssertionError(f"row {ridx}: box label {row.box} out of range")
         for triple in (row.e123, row.e456, row.e789):
             d1, d2, d3 = triple
             if not (d1 < d2 < d3):
-                raise DesignError(f"row {ridx}: triple {triple} not increasing")
+                raise AssertionError(f"row {ridx}: triple {triple} not increasing")
             if d3 > 9 * k:
-                raise DesignError(f"row {ridx}: entry {d3} exceeds 9k = {9 * k}")
+                raise AssertionError(f"row {ridx}: entry {d3} exceeds 9k = {9 * k}")
             if d1 < 1:
-                raise DesignError(f"row {ridx}: entry {d1} below 1")
+                raise AssertionError(f"row {ridx}: entry {d1} below 1")
             if (d1 + d2) % n != d3 % n and (d1 + d2 + d3) % n != 0:
-                raise DesignError(
+                raise AssertionError(
                     f"row {ridx}: {triple} is not a difference triple mod {n}"
                 )
             for d in triple:
                 if d in seen:
-                    raise DesignError(
+                    raise AssertionError(
                         f"row {ridx}: difference {d} repeats (also row {seen[d]})"
                     )
                 seen[d] = ridx
     if len(seen) != 9 * k:
         missing = sorted(set(range(1, 9 * k + 1)) - set(seen))
-        raise DesignError(f"differences not covered: {missing[:10]}")
+        raise AssertionError(f"differences not covered: {missing[:10]}")
 
 
 def cyclic_sts(n: int, table: DifferenceTripleTable) -> BlockDesign:
     """Cyclic STS(n): the orbit {s, s+d1, s+d1+d2} of every table triple."""
     if n != table.n:
-        raise DesignError(f"table was built for n={table.n}, got {n}")
+        raise InputError(f"table was built for n={table.n}, got {n}")
     blocks = []
     for d1, d2, _ in table.triples():
         for s in range(n):
@@ -372,7 +370,7 @@ def cyclic_sts(n: int, table: DifferenceTripleTable) -> BlockDesign:
     design = BlockDesign(n=n, blocks=tuple(sorted(blocks)))
     report = validate_design(design)
     if not report["valid"]:
-        raise DesignError(
+        raise InputError(
             f"cyclic STS invalid: {report['uncovered_count']} uncovered, "
             f"{len(report['repeated'])} repeated pairs"
         )

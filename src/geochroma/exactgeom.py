@@ -20,8 +20,11 @@ COORD_BOUND = 1 << 30  # accepted coordinate magnitude for loaded configurations
 GEN_BOUND = 1 << 20    # default grid for generated point sets
 
 
-class GeometryError(ValueError):
-    """Raised for invalid configurations or predicate misuse."""
+class InputError(ValueError):
+    """An input the caller can fix: a bad argument, a malformed file, an
+    unsupported order, or an exhausted partition search.  The CLI reports it
+    as one `error:` line and exit code 2; a failed check on values the
+    package computed itself raises AssertionError instead."""
 
 
 @dataclass(frozen=True, order=True)
@@ -131,12 +134,12 @@ class Configuration:
 
     def __post_init__(self):
         if self.mode not in ("coordinates", "convex"):
-            raise GeometryError(f"unknown configuration mode {self.mode!r}")
+            raise InputError(f"unknown configuration mode {self.mode!r}")
 
 
 def convex_configuration(n: int) -> Configuration:
     if n < 3:
-        raise GeometryError(f"convex configuration needs n >= 3, got {n}")
+        raise InputError(f"convex configuration needs n >= 3, got {n}")
     return Configuration(mode="convex", n=n)
 
 
@@ -157,10 +160,10 @@ def assert_general_position(points: Sequence[Point]) -> None:
             q = points[j]
             dx, dy = q.x - p.x, q.y - p.y
             if dx == 0 and dy == 0:
-                raise GeometryError(f"duplicate point at indices {i} and {j}")
+                raise InputError(f"duplicate point at indices {i} and {j}")
             key = canonical_direction(dx, dy)
             if key in seen:
-                raise GeometryError(
+                raise InputError(
                     f"collinear triple at indices {i}, {seen[key]}, {j}"
                 )
             seen[key] = j
@@ -170,7 +173,7 @@ def check_coordinate_bound(points: Sequence[Point]) -> None:
     """Reject any point with |x| or |y| above COORD_BOUND."""
     for idx, p in enumerate(points):
         if abs(p.x) > COORD_BOUND or abs(p.y) > COORD_BOUND:
-            raise GeometryError(
+            raise InputError(
                 f"point {idx} exceeds coordinate bound 2**30: ({p.x}, {p.y})"
             )
 
@@ -187,9 +190,9 @@ def coordinate_configuration(points: Iterable) -> Configuration:
 def generate_general_position(n: int, bound: int = GEN_BOUND, seed: int = 0) -> Configuration:
     """n distinct integer points with no three collinear, deterministic per seed."""
     if n < 1:
-        raise GeometryError("n must be >= 1")
+        raise InputError("n must be >= 1")
     if bound < 1 or bound > COORD_BOUND:
-        raise GeometryError(f"bound must be in 1..2**30, got {bound}")
+        raise InputError(f"bound must be in 1..2**30, got {bound}")
     rng = random.Random(seed)
     pts: list[Point] = []
     dirsets: list[set[tuple[int, int]]] = []
@@ -199,7 +202,7 @@ def generate_general_position(n: int, bound: int = GEN_BOUND, seed: int = 0) -> 
     while len(pts) < n:
         attempts += 1
         if attempts > limit:
-            raise GeometryError(
+            raise InputError(
                 f"could not place {n} points in general position within "
                 f"bound {bound} (placed {len(pts)})"
             )
@@ -226,7 +229,7 @@ def generate_general_position(n: int, bound: int = GEN_BOUND, seed: int = 0) -> 
 
 def edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
-        raise GeometryError(f"degenerate edge ({u},{v})")
+        raise InputError(f"degenerate edge ({u},{v})")
     return (u, v) if u < v else (v, u)
 
 
@@ -296,16 +299,16 @@ def config_to_dict(config: Configuration) -> dict:
 
 
 def config_from_dict(d: dict) -> Configuration:
-    """Inverse of config_to_dict; GeometryError unless d is an object whose
+    """Inverse of config_to_dict; InputError unless d is an object whose
     "mode" is "convex" with an int "n", or "coordinates" with "points" a list
     of [int, int] pairs (and "n", if given, an int equal to their number).
     Types are checked exactly, so a bool, float or string is never an int."""
     if not isinstance(d, dict):
-        raise GeometryError("a configuration must be a JSON object")
+        raise InputError("a configuration must be a JSON object")
     mode = d.get("mode")
     if mode == "convex":
         if type(d.get("n")) is not int:
-            raise GeometryError('a convex configuration needs an int "n"')
+            raise InputError('a convex configuration needs an int "n"')
         return convex_configuration(d["n"])
     if mode == "coordinates":
         pts = d.get("points")
@@ -313,12 +316,12 @@ def config_from_dict(d: dict) -> Configuration:
             isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
             for p in pts
         ):
-            raise GeometryError('"points" must be a list of [int, int] pairs')
+            raise InputError('"points" must be a list of [int, int] pairs')
         cfg = coordinate_configuration(pts)
         if "n" in d and not (type(d["n"]) is int and d["n"] == cfg.n):
-            raise GeometryError('"n" must be an int equal to the number of points')
+            raise InputError('"n" must be an int equal to the number of points')
         return cfg
-    raise GeometryError(f"unknown configuration mode {mode!r}")
+    raise InputError(f"unknown configuration mode {mode!r}")
 
 
 # list items encoded per json.dumps call in write_json: as fast as 1000, whose
@@ -359,6 +362,17 @@ def save_config(config: Configuration, path) -> None:
     write_json(config_to_dict(config), path)
 
 
-def load_config(path) -> Configuration:
+def read_json(path):
+    """The JSON value stored in the file at path.  A file that does not
+    decode, or nests too deeply for the decoder, raises InputError."""
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InputError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+
+
+def load_config(path) -> Configuration:
+    return config_from_dict(read_json(path))

@@ -24,14 +24,11 @@ from itertools import combinations, islice
 
 from .exactgeom import (
     Configuration,
+    InputError,
     Point,
     canonical_direction,
     check_coordinate_bound,
 )
-
-
-class PlanecutError(RuntimeError):
-    """Candidate search exhausted or infeasible region request."""
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,8 @@ class RegionAssignment:
 def recount_regions(assignment: RegionAssignment, config: Configuration) -> None:
     """Independent oracle: re-evaluate every member against the stored cuts.
 
-    Raises PlanecutError unless each member matches an allowed pattern of its
-    region, regions and spill are disjoint, and together they cover all
+    Raises AssertionError unless each member matches an allowed pattern of
+    its region, regions and spill are disjoint, and together they cover all
     vertices.
     """
     pts = config.points
@@ -79,21 +76,21 @@ def recount_regions(assignment: RegionAssignment, config: Configuration) -> None
     for bucket in list(assignment.regions) + [assignment.spill]:
         for v in bucket:
             if v in seen:
-                raise PlanecutError(f"vertex {v} assigned twice")
+                raise AssertionError(f"vertex {v} assigned twice")
             seen.add(v)
     if len(seen) != config.n:
-        raise PlanecutError("regions plus spill do not cover the vertex set")
+        raise AssertionError("regions plus spill do not cover the vertex set")
     for i, region in enumerate(assignment.regions):
         pats = assignment.patterns[i]
         for v in region:
             sig = tuple(cut.side(pts[v]) for cut in assignment.cuts)
             if any(s == 0 for s in sig):
-                raise PlanecutError(f"vertex {v} lies on a cut line")
+                raise AssertionError(f"vertex {v} lies on a cut line")
             ok = any(
                 all(p == 0 or p == s for p, s in zip(pat, sig)) for pat in pats
             )
             if not ok:
-                raise PlanecutError(f"vertex {v} fails the pattern of region {i}")
+                raise AssertionError(f"vertex {v} fails the pattern of region {i}")
 
 
 # --- candidate directions ----------------------------------------------------
@@ -210,10 +207,10 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
     lines through one point of each strip, then nudged off the points.
     """
     if config.mode != "coordinates":
-        raise PlanecutError("six_parts_two_parallel needs a coordinates configuration")
+        raise InputError("six_parts_two_parallel needs a coordinates configuration")
     n = config.n
     if n < 6:
-        raise PlanecutError("need n >= 6")
+        raise InputError("need n >= 6")
     pts = config.points
     check_coordinate_bound(pts)  # keeps the int64 side counts exact
     lo = -(-n // 6) - 1  # ceil(n/6) - 1
@@ -253,7 +250,7 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
               for w in islice(_candidate_normals(pts), cap))
     hit = next(filter(None, (attempt(t, w) for t, w in stream)), None)
     if hit is None:
-        raise PlanecutError(
+        raise InputError(
             f"six_parts_two_parallel: search exhausted (n={n}, bound={lo})"
         )
     (l3, sides), label, line_hi, line_lo, (A, M, B) = hit
@@ -332,7 +329,7 @@ def _ham_sandwich(pts, label, strips, lo):
                 key = (label[i], sv)
                 got[key] = got.get(key, 0) + 1
             if got != {c: v for c, v in want.items() if v}:
-                raise PlanecutError("nudged line miscounts its sides")
+                raise AssertionError("nudged line miscounts its sides")
             return line, sides
     return None
 
@@ -367,7 +364,7 @@ def _ray_between(dirs, slopes, i, j):
         cand = (v1[0] * k + v2[0], v1[1] * k + v2[1])
         if canonical_direction(*cand) not in slopes:
             return cand
-    raise PlanecutError("no clean ray direction found")  # pragma: no cover
+    raise AssertionError("no clean ray direction found")  # pragma: no cover
 
 
 def six_fan(config: Configuration, q: int) -> RegionAssignment:
@@ -378,11 +375,11 @@ def six_fan(config: Configuration, q: int) -> RegionAssignment:
     Regions are listed clockwise around the center.
     """
     if config.mode != "coordinates":
-        raise PlanecutError("six_fan needs a coordinates configuration")
+        raise InputError("six_fan needs a coordinates configuration")
     pts = config.points
     m = config.n
     if m < 6 * q or q < 1:
-        raise PlanecutError(f"six_fan needs m >= 6q (m={m}, q={q})")
+        raise InputError(f"six_fan needs m >= 6q (m={m}, q={q})")
 
     # m >= 6q: both halves of each split hold >= 3q points
     for (wx, wy), D_idx, U_idx, line1 in projection_splits(pts, m // 2):
@@ -422,7 +419,7 @@ def six_fan(config: Configuration, q: int) -> RegionAssignment:
             if fan is not None:
                 recount_regions(fan, config)
                 return fan
-    raise PlanecutError(f"six_fan: candidate search exhausted (m={m}, q={q})")
+    raise InputError(f"six_fan: candidate search exhausted (m={m}, q={q})")
 
 
 def _try_fan_center(pts, q, line1, center, dirs, Us, Ds):
@@ -510,12 +507,12 @@ def nine_regions(config: Configuration, q: int, base: RegionAssignment | None = 
     """Buckets R1..R9: R1..R6 are the q points of each sixth nearest the
     third cut; R7..R9 merge the leftovers of each strip, truncated to q."""
     if q < 1:
-        raise PlanecutError("q must be >= 1")
+        raise InputError("q must be >= 1")
     if base is None:
         base = six_parts_two_parallel(config)
     S = base.regions  # A+ M+ B+ A- M- B-
     if not nine_fit(base, q):
-        raise PlanecutError(
+        raise InputError(
             f"six parts of sizes {[len(s) for s in S]} cannot fill nine regions "
             f"of q = {q}; choose smaller q"
         )

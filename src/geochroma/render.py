@@ -28,13 +28,11 @@ def _layout(config):
         ]
     xs = [p.x for p in config.points]
     ys = [p.y for p in config.points]
-    w = max(xs) - min(xs) or 1
-    h = max(ys) - min(ys) or 1
+    x0, y0 = min(xs, default=0), min(ys, default=0)  # no points: an empty drawing
+    w = max(xs, default=0) - x0 or 1
+    h = max(ys, default=0) - y0 or 1
     s = (SIZE - 2 * MARGIN) / max(w, h)
-    return [
-        (MARGIN + (p.x - min(xs)) * s, SIZE - MARGIN - (p.y - min(ys)) * s)
-        for p in config.points
-    ]
+    return [(MARGIN + (p.x - x0) * s, SIZE - MARGIN - (p.y - y0) * s) for p in config.points]
 
 
 def _hue(color: int) -> str:

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from geochroma.exactgeom import (
+    InputError,
     boxes_apart,
     convex_configuration,
     coordinate_configuration,
@@ -23,7 +24,6 @@ from geochroma.constructions import (
 )
 from geochroma.chroma import (
     AlgebraicX,
-    ChromaError,
     Coloring,
     ConflictGraph,
     bound_evaluators,
@@ -77,7 +77,7 @@ def test_verify_coloring_basics():
     m = len(d.parts)
     assert verify_coloring(d, Coloring(colors=tuple(range(m)))) == []
     assert verify_coloring(d, Coloring(colors=(0,) * m)) != []
-    with pytest.raises(ChromaError):
+    with pytest.raises(InputError):
         verify_coloring(d, Coloring(colors=(0,)))
 
 
@@ -281,7 +281,7 @@ def test_census_single_triangle_threshold():
     census = triangle_census(d, col, x=3)
     assert sum(census.per_class_large.values()) == 1
     # x = 2 rejected (below 3)
-    with pytest.raises(ChromaError):
+    with pytest.raises(InputError):
         triangle_census(d, col, x=2)
     # huge x makes every triangle large but the limit grows too
     census = triangle_census(d, col, x=100)
@@ -315,7 +315,7 @@ def test_bound_evaluators():
     denom = bound_evaluators(73, "thm33_denom")
     assert denom.hi < 119  # 60 + 24 sqrt 6 < 119
     assert Fraction(118) < denom.lo
-    with pytest.raises(ChromaError):
+    with pytest.raises(InputError):
         bound_evaluators(10, "unknown")
 
 
@@ -366,7 +366,7 @@ def test_tau_point_fan_center():
     res = tau_point(cfg, fan.center)
     assert res.exact
     assert res.count == 4  # meets the n^2/9 = 4 reference bound
-    with pytest.raises(ChromaError):
+    with pytest.raises(InputError):
         tau_point(cfg, (cfg.points[0].x, cfg.points[0].y))
 
 

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from geochroma.cli import main
-from geochroma.constructions import ConstructionError, decomposition_from_dict, load_decomposition
+from geochroma.constructions import decomposition_from_dict, load_decomposition
 from geochroma.exactgeom import (
-    GeometryError,
+    InputError,
     config_from_dict,
     config_to_dict,
     convex_configuration,
@@ -190,6 +190,13 @@ def test_render_box1_class(tmp_path):
     assert svg.read_bytes() == svg2.read_bytes()
 
 
+def test_render_empty_coordinates(tmp_path):
+    # a configuration without points draws an empty canvas
+    dec = tmp_path / "z.json"
+    dec.write_text(json.dumps({"config": {"mode": "coordinates", "points": []}, "parts": []}))
+    assert main(["render", str(dec), "--out", str(tmp_path / "z.svg")]) == 0
+
+
 def test_round_trip_equality(tmp_path):
     out = tmp_path / "t32.json"
     main(["build", "thm32", "-k", "4", "--out", str(out)])
@@ -238,9 +245,15 @@ _BAD_CONFIGS = {
 
 
 def _malformed(tmp_path, kind):
-    """A configuration or decomposition file with one schema fault, and the
-    command to run on it."""
+    """A configuration or decomposition file with one fault, and the command
+    to run on it."""
     out = tmp_path / "bad.json"
+    if kind in ("deep-nesting", "config-deep-nesting"):
+        # deep enough to exhaust the JSON decoder's recursion limit
+        out.write_text("[" * 200_000 + "]" * 200_000)
+        if kind == "deep-nesting":
+            return ["verify", str(out)]
+        return ["build", "edges", "--config", str(out), "--out", str(tmp_path / "e.json")]
     if kind in _BAD_CONFIGS:
         out.write_text(json.dumps(_BAD_CONFIGS[kind]))
         return ["build", "edges", "--config", str(out), "--out", str(tmp_path / "e.json")]
@@ -253,6 +266,12 @@ def _malformed(tmp_path, kind):
         else:
             data["metadata"] = [1]
             cmd = "stats"
+    elif kind.startswith("huge-color"):
+        # a color id far above the number of parts
+        main(["build", "edges", "-n", "3", "--out", str(out)])
+        data = json.loads(out.read_text())
+        data["coloring"] = [10**400, 0, 0]
+        cmd = "render" if kind == "huge-color-render" else "stats"
     elif kind == "no-parts":
         main(["build", "thm4", "-n", "9", "--out", str(out)])
         data = json.loads(out.read_text())
@@ -284,7 +303,9 @@ def _malformed(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["no-parts", "convex-vertex", "coords-vertex",
                                   "short-coloring", "negative-color",
-                                  "decomp-config-list", "metadata-list", *_BAD_CONFIGS])
+                                  "decomp-config-list", "metadata-list", "huge-color",
+                                  "huge-color-render", "deep-nesting", "config-deep-nesting",
+                                  *_BAD_CONFIGS])
 def test_malformed_decomposition_exits_2(tmp_path, capsys, kind):
     argv = _malformed(tmp_path, kind)
     before = (tmp_path / "bad.json").read_bytes()
@@ -298,10 +319,9 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, kind):
 
 def test_planecut_error_exits_2(tmp_path, capsys, monkeypatch):
     from geochroma import cli
-    from geochroma.planecut import PlanecutError
 
     def exhausted(*args, **kwargs):
-        raise PlanecutError("six_fan: candidate search exhausted (m=69, q=9)")
+        raise InputError("six_fan: candidate search exhausted (m=69, q=9)")
 
     monkeypatch.setattr(cli, "thm3_construction", exhausted)
     assert main(["build", "thm3", "-q", "9", "--out", str(tmp_path / "x.json")]) == 2
@@ -358,10 +378,10 @@ def test_loaders_fuzz(tmp_path, capsys):
                 holder[key] = data.draw(junk)
             doc = root[0]
         for load, arg, errors in (
-                (config_from_dict, doc, GeometryError),
+                (config_from_dict, doc, InputError),
                 (config_from_dict, doc.get("config") if isinstance(doc, dict) else None,
-                 GeometryError),
-                (decomposition_from_dict, doc, (ConstructionError, GeometryError))):
+                 InputError),
+                (decomposition_from_dict, doc, InputError)):
             try:
                 load(arg)
             except errors:

@@ -1,9 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from geochroma.exactgeom import (
+    COORD_BOUND,
+    Configuration,
+    InputError,
+    Point,
     convex_configuration,
     generate_general_position,
     parts_conflict,
@@ -12,7 +17,6 @@ from geochroma.exactgeom import (
 from geochroma.constructions import (
     Coloring,
     Construction,
-    ConstructionError,
     Decomposition,
     Part,
     decomposition_from_dict,
@@ -28,9 +32,9 @@ from geochroma.chroma import verify_coloring
 
 
 def test_part_invariants():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError):
         Part(vertices=(3,))
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError):
         Part(vertices=(3, 1))
     assert Part(vertices=(1, 3)).edges() == [(1, 3)]
 
@@ -92,7 +96,7 @@ def test_thm4_family(n):
 
 
 def test_thm4_rejects_bad_n():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError):
         thm4_construction(10)
 
 
@@ -145,9 +149,9 @@ def test_every_construction_returns_one_shape():
 
 
 def test_thm3_rejects_bad_q():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError):
         thm3_construction(2)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError):
         thm3_construction(6)
 
 
@@ -155,7 +159,7 @@ def test_thm3_accepts_explicit_config():
     cfg = generate_general_position(27, seed=77)
     fam = thm3_construction(3, config=cfg)
     assert fam.decomposition.config is cfg
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError):
         thm3_construction(3, config=generate_general_position(20, seed=0))
 
 
@@ -219,9 +223,7 @@ def test_thm32_k6_sampled():
 
 
 def test_thm32_rejects_bad_k():
-    from geochroma.designs import DesignError
-
-    with pytest.raises(DesignError):
+    with pytest.raises(InputError):
         thm32_construction(3)
 
 
@@ -259,6 +261,30 @@ def test_thm5_below_threshold_degrades_to_singletons():
     assert res.stats["singleton_edges"] == 30 * 29 // 2
     assert validate_decomposition(res.decomposition)["valid"]
     assert verify_coloring(res.decomposition, res.coloring) == []
+
+
+def test_thm5_propagates_a_planecut_oracle_failure(monkeypatch):
+    # the recount oracle rejects every assignment (one vertex sits in a region
+    # and in the spill): thm5 must fail, not fall back to singleton edges
+    from geochroma import planecut
+
+    recount = planecut.recount_regions
+
+    def rejecting(asg, config):
+        recount(replace(asg, spill=asg.spill + asg.regions[0][:1]), config)
+
+    monkeypatch.setattr(planecut, "recount_regions", rejecting)
+    with pytest.raises(AssertionError, match="assigned twice"):
+        thm5_construction(generate_general_position(150, seed=3))
+
+
+def test_thm5_rejects_coordinates_above_bound():
+    # built directly, so the loader's bound check never ran
+    pts = list(generate_general_position(100, seed=11).points)
+    pts[0] = Point(COORD_BOUND + 1, pts[0].y)
+    cfg = Configuration(mode="coordinates", n=100, points=tuple(pts))
+    with pytest.raises(InputError, match="coordinate bound"):
+        thm5_construction(cfg)
 
 
 def test_thm5_deterministic():

@@ -4,7 +4,6 @@ import pytest
 
 from geochroma.designs import (
     BlockDesign,
-    DesignError,
     FiniteField,
     cyclic_sts,
     difference_triples,
@@ -15,6 +14,7 @@ from geochroma.designs import (
     sts9,
     validate_design,
 )
+from geochroma.exactgeom import InputError
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32))
@@ -38,7 +38,7 @@ def test_field_axioms_exhaustive(q):
 
 
 def test_field_rejects_non_prime_power():
-    with pytest.raises(DesignError):
+    with pytest.raises(InputError):
         FiniteField(6)
 
 
@@ -90,7 +90,7 @@ def test_plane_order_supported_iff_field_constructs():
         try:
             FiniteField(q)
             constructs = True
-        except DesignError:
+        except InputError:
             constructs = False
         assert plane_order_supported(q) == constructs, q
 
@@ -129,7 +129,7 @@ def test_pencil_transversals_match_line_intersections(q, m):
 
 def test_pencil_too_many_lines():
     p3 = projective_plane(3)
-    with pytest.raises(DesignError):
+    with pytest.raises(InputError):
         pencil_through(p3, 0, 5)
 
 
@@ -185,7 +185,7 @@ def test_difference_triples_validator(k):
 
 @pytest.mark.parametrize("k", (2, 3, 5))
 def test_difference_triples_rejects_small_or_odd(k):
-    with pytest.raises(DesignError):
+    with pytest.raises(InputError):
         difference_triples(k)
 
 
@@ -200,6 +200,6 @@ def test_cyclic_sts_k4():
 
 def test_cyclic_sts_wrong_n():
     table = difference_triples(4)
-    with pytest.raises(DesignError):
+    with pytest.raises(InputError):
         cyclic_sts(75, table)
 

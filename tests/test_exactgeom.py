@@ -7,7 +7,7 @@ from geochroma.exactgeom import (
     COORD_BOUND,
     Configuration,
     JSON_SLICE,
-    GeometryError,
+    InputError,
     Point,
     config_from_dict,
     config_to_dict,
@@ -119,20 +119,20 @@ def test_generate_single_point_and_determinism():
 
 
 def test_generate_bound_too_small():
-    with pytest.raises(GeometryError):
+    with pytest.raises(InputError):
         generate_general_position(40, bound=2, seed=0)
 
 
 def test_configuration_rejections():
-    with pytest.raises(GeometryError):
+    with pytest.raises(InputError):
         coordinate_configuration([(0, 0), (0, 0), (1, 2)])
-    with pytest.raises(GeometryError):
+    with pytest.raises(InputError):
         coordinate_configuration([(0, 0), (1, 1), (2, 2)])
-    with pytest.raises(GeometryError):
+    with pytest.raises(InputError):
         coordinate_configuration([(0, 0), (1, 5), (2 * COORD_BOUND, 1)])
-    with pytest.raises(GeometryError):
+    with pytest.raises(InputError):
         convex_configuration(2)
-    with pytest.raises(GeometryError):
+    with pytest.raises(InputError):
         Configuration(mode="spherical", n=3)
 
 
@@ -161,7 +161,7 @@ def test_write_json_matches_dumps(tmp_path, data):
 
 def test_edge_normalization():
     assert edge(5, 2) == (2, 5)
-    with pytest.raises(GeometryError):
+    with pytest.raises(InputError):
         edge(3, 3)
 
 

@@ -22,8 +22,8 @@ from geochroma.constructions import (
     trivial_edge_decomposition,
 )
 from geochroma.designs import FiniteField, plane_order_supported
-from geochroma.exactgeom import convex_configuration, generate_general_position
-from geochroma.planecut import PlanecutError, nine_regions, six_fan, six_parts_two_parallel
+from geochroma.exactgeom import InputError, convex_configuration, generate_general_position
+from geochroma.planecut import nine_regions, six_fan, six_parts_two_parallel
 
 
 @pytest.mark.parametrize("args,digest", [
@@ -202,7 +202,7 @@ def _planecut_sweep():
         for seed in range(3):
             try:
                 rec = _asg_record(nine_regions(generate_general_position(n, seed=seed), q))
-            except PlanecutError:  # the fit rule rejects q
+            except InputError:  # the fit rule rejects q
                 rec = "infeasible"
             out.append(["nine", n, q, seed, rec])
     return out
