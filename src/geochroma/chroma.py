@@ -1,14 +1,17 @@
 """Conflict graphs, colorings, clique index, census and bound evaluators.
 
 Conflict graphs are stored as bitmask adjacency rows, built by one pairwise
-helper.  In coordinates mode each part carries its exact integer bounding
-box, and `parts_conflict` runs only on pairs whose boxes overlap: disjoint
-boxes prove two parts conflict-free, so graphs and verdicts are those of the
-plain all-pairs check.  The exact solvers are deterministic and keep their
-own explicit stacks, so no search depth is limited by Python's recursion
-limit: DSATUR ties break to the lowest part index, the exact colorer deepens
-the palette one color at a time branching on the lowest-index uncolored part,
-and the clique search explores candidates in ascending order.  The maximum
+helper.  Each part is shaped once (`exactgeom.part_shape`: vertex set, sorted
+edges, and in coordinates mode the exact integer bounding box), and every
+pair goes to `parts_conflict` as shapes, which decides parts with disjoint
+boxes before any other test; graphs and verdicts are those of the plain
+all-pairs check.  The exact solvers are deterministic and keep their own
+explicit stacks, so no search depth is limited by Python's recursion limit:
+DSATUR ties break to the lowest part index, the exact colorer deepens the
+palette one color at a time branching on the lowest-index uncolored part,
+and the clique search explores candidates in ascending order.  DSATUR and
+the exact colorer keep one bitmask of parts per color, not a set of colors
+per part, so an assignment is a few big-int operations.  The maximum
 intersecting family and tau(p) searches are maximum-clique queries on graphs
 built by the same helper.  All threshold comparisons involving the irrational
 census parameter are decided by exact integer arithmetic (squaring), never
@@ -20,16 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
+from operator import or_
 from typing import NamedTuple
 
 from .exactgeom import (
     Configuration,
     InputError,
-    boxes_apart,
     convex_noncrossing,
-    part_box,
+    part_shape,
     parts_conflict,
     point_in_triangle,
 )
@@ -64,24 +67,17 @@ def _graph(items, related) -> ConflictGraph:
     return ConflictGraph(m=m, adj=tuple(adj))
 
 
-def _boxed_conflict(config: Configuration, a, b) -> bool:
-    """parts_conflict on (vertices, box) items, skipped when the boxes are apart."""
-    return not boxes_apart(a[1], b[1]) and parts_conflict(config, a[0], b[0])
-
-
 def _conflict_items(config: Configuration, parts: list):
     """The items and relation `_graph` needs for the conflicts among `parts`:
-    coordinate parts go with their boxes, convex parts alone."""
-    if config.mode == "convex":
-        return parts, partial(parts_conflict, config)
-    return [(v, part_box(config, v)) for v in parts], partial(_boxed_conflict, config)
+    each part's shape, built once, and `parts_conflict`."""
+    return [part_shape(config, v) for v in parts], partial(parts_conflict, config)
 
 
 def conflict_graph(d: Decomposition) -> ConflictGraph:
     """All-pairs conflict relation; quadratic in the number of parts.
 
-    In coordinates mode a pair is tested by `parts_conflict` only when the
-    parts' bounding boxes overlap."""
+    Each part is shaped once, so a pair costs `parts_conflict` only its box,
+    shared-vertex and edge-pair tests."""
     return _graph(*_conflict_items(d.config, [p.vertices for p in d.parts]))
 
 
@@ -91,9 +87,9 @@ def verify_coloring(d: Decomposition, c: Coloring) -> list[tuple[int, int]]:
     The pairs come class by class, in order of each class's first part, and
     by part index within a class.  In convex mode a class is first checked by
     one `convex_noncrossing` scan, and its pairs are listed by `parts_conflict`
-    only if the scan rejects it.  In coordinates mode the boxes of the parts in
-    classes of two or more are computed once, and `parts_conflict` tests only
-    the pairs whose boxes overlap."""
+    only if the scan rejects it.  The parts of a class that is checked pair by
+    pair are shaped once, so `parts_conflict` decides pairs whose boxes are
+    apart without an edge test."""
     if len(c.colors) != len(d.parts):
         raise InputError("coloring does not cover all parts")
     groups: dict[int, list[int]] = {}
@@ -115,23 +111,33 @@ def verify_coloring(d: Decomposition, c: Coloring) -> list[tuple[int, int]]:
 
 
 def greedy_color(g: ConflictGraph) -> Coloring:
-    """DSATUR: highest saturation first, ties to the lowest part index."""
+    """DSATUR: highest saturation first, ties to the lowest part index.
+
+    seen[c] is the bitmask of parts adjacent to a part of color c, so giving
+    a part color c raises the saturation of exactly its uncolored neighbours
+    outside seen[c], and only those are visited."""
     m = g.m
     if m == 0:
         return Coloring(colors=())
+    adj = g.adj
     colors = [-1] * m
-    neigh: list[set[int]] = [set() for _ in range(m)]
+    sat = [0] * m
+    seen: list[int] = []
+    left = list(range(m))
+    uncolored = (1 << m) - 1
     for _ in range(m):
-        best, best_sat = -1, -1
-        for i in range(m):
-            if colors[i] < 0 and len(neigh[i]) > best_sat:
-                best, best_sat = i, len(neigh[i])
+        best = max(left, key=sat.__getitem__)  # the first maximum: lowest index
+        left.remove(best)
+        uncolored ^= 1 << best
         c = 0
-        while c in neigh[best]:
+        while c < len(seen) and seen[c] >> best & 1:
             c += 1
+        if c == len(seen):
+            seen.append(0)
         colors[best] = c
-        for j in _bits(g.adj[best]):
-            neigh[j].add(c)
+        for j in _bits(adj[best] & uncolored & ~seen[c]):
+            sat[j] += 1
+        seen[c] |= adj[best]
     return Coloring(colors=tuple(colors))
 
 
@@ -217,55 +223,58 @@ def _try_color(g: ConflictGraph, k: int, seed_clique: list[int], budget: int):
     """Find a k-coloring (list), prove impossibility (False), or run out of
     budget (None); returned with the budget left.  Branch on the lowest-index
     uncolored part, colors ascending, never opening more than one fresh color;
-    each node costs one unit of budget."""
+    each node costs one unit of budget.
+
+    can[c] is the bitmask of parts that no neighbour of color c excludes from
+    c, and `uncolored` the bitmask of parts left, so an assignment changes two
+    ints and an uncolored part with no color left (a wipeout) is a bit of
+    `uncolored` outside the OR of all can[c].  Every uncolored part keeps a
+    color after each successful assignment, so a wipeout can only hit a
+    neighbour that has just lost color c."""
     m = g.m
     adj = g.adj
     if len(seed_clique) > k:
         return False, budget
     colors = [-1] * m
-    avail = [(1 << k) - 1] * m
+    can = [(1 << m) - 1] * k
+    uncolored = (1 << m) - 1
 
-    def assign(v: int, c: int, trail: list[int]) -> bool:
+    def assign(v: int, c: int) -> bool:
+        nonlocal uncolored
         colors[v] = c
-        bit = 1 << c
-        for u in _bits(adj[v]):
-            if colors[u] < 0 and avail[u] & bit:
-                avail[u] &= ~bit
-                trail.append(u)
-                if avail[u] == 0:
-                    return False
-        return True
+        uncolored ^= 1 << v
+        lost = can[c] & adj[v] & uncolored
+        can[c] ^= lost
+        return not lost or not lost & ~reduce(or_, can)
 
     for ci, v in enumerate(seed_clique):
-        if not assign(v, ci, []):
+        if not assign(v, ci):
             return False, budget
-    stack: list[list] = []  # frames [part, options left, color tried, trail, colors open]
+    stack: list[list] = []  # frames [part, next color, color limit, can[c] before, colors open]
     opened = len(seed_clique)
     while True:
         budget -= 1
         if budget < 0:
             return None, budget
-        try:
-            v = colors.index(-1)
-        except ValueError:
+        if not uncolored:
             return colors, budget
-        stack.append([v, avail[v] & ((1 << min(k, opened + 1)) - 1), -1, [], opened])
+        v = (uncolored & -uncolored).bit_length() - 1
+        stack.append([v, 0, min(k, opened + 1), None, opened])
         while stack:
             frame = stack[-1]
-            v, options, c, trail, opened = frame
-            if c >= 0:
+            v, c, limit, saved, opened = frame
+            if saved is not None:  # undo the color tried last
+                can[c - 1] = saved
                 colors[v] = -1
-                bit = 1 << c
-                for u in trail:
-                    avail[u] |= bit
-            if not options:
+                uncolored |= 1 << v
+            while c < limit and not can[c] >> v & 1:
+                c += 1
+            if c == limit:
                 stack.pop()
                 continue
-            c = (options & -options).bit_length() - 1
-            trail = []
-            frame[1:4] = options & (options - 1), c, trail
+            frame[1], frame[3] = c + 1, can[c]
             opened = max(opened, c + 1)
-            if assign(v, c, trail):
+            if assign(v, c):
                 break
         else:
             return False, budget

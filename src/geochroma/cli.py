@@ -20,6 +20,7 @@ parameters, seed, version, timing, output digests) is written next to each
 from __future__ import annotations
 
 import argparse
+import decimal
 import hashlib
 import json
 import os
@@ -200,12 +201,15 @@ def cmd_stats(args) -> int:
         print(f"  {kind}: {sizes[s]}")
     if coloring is not None:
         print(f"colors: {coloring.palette}")
-        bound = n * n / 9
-        if coloring.palette > bound:
-            c_fit = (coloring.palette - bound) / n**1.5
-            print(f"  n^2/9 = {bound:.1f}; palette = n^2/9 + {c_fit:.4f} * n^1.5")
+        try:
+            shown = f"{n * n / 9:.1f}"
+        except OverflowError:  # beyond a float: five significant digits
+            shown = str(decimal.Context(prec=5).divide(decimal.Decimal(n * n), 9))
+        if 9 * coloring.palette > n * n:  # then n^2/9 < palette fits a float
+            c_fit = (coloring.palette - n * n / 9) / n**1.5
+            print(f"  n^2/9 = {shown}; palette = n^2/9 + {c_fit:.4f} * n^1.5")
         else:
-            print(f"  n^2/9 = {bound:.1f}; palette within n^2/9 (C = 0)")
+            print(f"  n^2/9 = {shown}; palette within n^2/9 (C = 0)")
     for key, val in sorted(decomp.metadata.items()):
         if key != "levels":
             print(f"meta {key}: {val}")

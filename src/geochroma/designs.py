@@ -220,8 +220,8 @@ def validate_design(d: BlockDesign) -> dict:
     'repeated' list is empty.
 
     The uncovered pairs of K_n are counted, not listed: 'uncovered' holds only
-    the first UNCOVERED_LISTED of them in lexicographic order, so a report on
-    a nearly empty design stays small whatever its n.
+    the first UNCOVERED_LISTED of them in lexicographic order, drawn from a
+    lazy scan, so a report on a nearly empty design stays small whatever its n.
     """
     cover: dict[tuple[int, int], int] = {}
     for blk in d.blocks:
@@ -231,7 +231,8 @@ def validate_design(d: BlockDesign) -> dict:
     uncovered_count = d.n * (d.n - 1) // 2 - covered
     uncovered = []
     if uncovered_count:
-        missing = ((u, v) for u, v in combinations(range(d.n), 2) if (u, v) not in cover)
+        n = d.n
+        missing = ((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in cover)
         uncovered = list(islice(missing, min(uncovered_count, UNCOVERED_LISTED)))
     repeated = [pair for pair, c in cover.items() if c > 1]
     return {"uncovered": uncovered, "uncovered_count": uncovered_count,

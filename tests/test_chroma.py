@@ -8,11 +8,14 @@ from geochroma.exactgeom import (
     InputError,
     boxes_apart,
     convex_configuration,
+    convex_cross,
     coordinate_configuration,
     generate_general_position,
     orient,
     part_box,
+    part_shape,
     parts_conflict,
+    proper_cross,
 )
 from geochroma.constructions import (
     Decomposition,
@@ -22,6 +25,7 @@ from geochroma.constructions import (
     thm32_construction,
     trivial_edge_decomposition,
 )
+from geochroma import chroma
 from geochroma.chroma import (
     AlgebraicX,
     Coloring,
@@ -37,6 +41,7 @@ from geochroma.chroma import (
     triangle_census,
     triangle_length,
     verify_coloring,
+    _bits,
 )
 from geochroma.experiments import _brute_force_palette, _random_instance
 
@@ -442,3 +447,165 @@ def test_tau_point_matches_brute_force():
                 assert tau_point(cfg, p) == (want, True)
                 checked["inside" if want else "outside"] += 1
     assert min(checked.values()) > 0
+
+
+# --- reference solvers: the set-based DSATUR and the per-part colorer ------------
+
+def _reference_greedy_color(g: ConflictGraph) -> Coloring:
+    """DSATUR: highest saturation first, ties to the lowest part index."""
+    m = g.m
+    if m == 0:
+        return Coloring(colors=())
+    colors = [-1] * m
+    neigh: list[set[int]] = [set() for _ in range(m)]
+    for _ in range(m):
+        best, best_sat = -1, -1
+        for i in range(m):
+            if colors[i] < 0 and len(neigh[i]) > best_sat:
+                best, best_sat = i, len(neigh[i])
+        c = 0
+        while c in neigh[best]:
+            c += 1
+        colors[best] = c
+        for j in _bits(g.adj[best]):
+            neigh[j].add(c)
+    return Coloring(colors=tuple(colors))
+
+
+def _reference_try_color(g: ConflictGraph, k: int, seed_clique: list[int], budget: int):
+    """Find a k-coloring (list), prove impossibility (False), or run out of
+    budget (None); returned with the budget left.  Branch on the lowest-index
+    uncolored part, colors ascending, never opening more than one fresh color;
+    each node costs one unit of budget."""
+    m = g.m
+    adj = g.adj
+    if len(seed_clique) > k:
+        return False, budget
+    colors = [-1] * m
+    avail = [(1 << k) - 1] * m
+
+    def assign(v: int, c: int, trail: list[int]) -> bool:
+        colors[v] = c
+        bit = 1 << c
+        for u in _bits(adj[v]):
+            if colors[u] < 0 and avail[u] & bit:
+                avail[u] &= ~bit
+                trail.append(u)
+                if avail[u] == 0:
+                    return False
+        return True
+
+    for ci, v in enumerate(seed_clique):
+        if not assign(v, ci, []):
+            return False, budget
+    stack: list[list] = []  # frames [part, options left, color tried, trail, colors open]
+    opened = len(seed_clique)
+    while True:
+        budget -= 1
+        if budget < 0:
+            return None, budget
+        try:
+            v = colors.index(-1)
+        except ValueError:
+            return colors, budget
+        stack.append([v, avail[v] & ((1 << min(k, opened + 1)) - 1), -1, [], opened])
+        while stack:
+            frame = stack[-1]
+            v, options, c, trail, opened = frame
+            if c >= 0:
+                colors[v] = -1
+                bit = 1 << c
+                for u in trail:
+                    avail[u] |= bit
+            if not options:
+                stack.pop()
+                continue
+            c = (options & -options).bit_length() - 1
+            trail = []
+            frame[1:4] = options & (options - 1), c, trail
+            opened = max(opened, c + 1)
+            if assign(v, c, trail):
+                break
+        else:
+            return False, budget
+
+
+def _check_solvers_match_reference(monkeypatch, g, budgets):
+    # DSATUR and every budgeted exact result (bounds, flag and coloring)
+    # equal those of the reference solvers
+    mine = [greedy_color(g)] + [exact_chromatic_index(g, budget=b) for b in budgets]
+    with monkeypatch.context() as mp:
+        mp.setattr(chroma, "greedy_color", _reference_greedy_color)
+        mp.setattr(chroma, "_try_color", _reference_try_color)
+        ref = [_reference_greedy_color(g)] + [exact_chromatic_index(g, budget=b)
+                                              for b in budgets]
+    assert mine == ref
+
+
+def test_solvers_match_reference_on_random_graphs(monkeypatch):
+    rng = random.Random(13)
+    for _ in range(120):
+        m = rng.randint(1, 40)
+        p = rng.choice((0.1, 0.3, 0.5, 0.8))
+        g = _graph(m, [e for e in combinations(range(m), 2) if rng.random() < p])
+        _check_solvers_match_reference(monkeypatch, g, (1, 7, 50, 2_000_000))
+
+
+@pytest.mark.parametrize("make,budgets", [
+    pytest.param(lambda: thm4_construction(15).decomposition, (1, 7, 50, 3000),
+                 id="thm4-n15"),
+    pytest.param(lambda: trivial_edge_decomposition(convex_configuration(8)),
+                 (1, 7, 50, 2_000_000), id="edges-convex8"),
+])
+def test_solvers_match_reference_on_decompositions(monkeypatch, make, budgets):
+    _check_solvers_match_reference(monkeypatch, conflict_graph(make()), budgets)
+
+
+def _plain_conflict(cfg, a, b):
+    # shared vertex, or any crossing edge pair by the per-edge oracle
+    if set(a) & set(b):
+        return True
+    ea, eb = combinations(sorted(a), 2), list(combinations(sorted(b), 2))
+    if cfg.mode == "convex":
+        return any(convex_cross(cfg.n, e1, e2) for e1 in ea for e2 in eb)
+    p = cfg.points
+    return any(proper_cross(p[u], p[v], p[x], p[y]) for u, v in ea for x, y in eb)
+
+
+def test_parts_conflict_on_shapes_property():
+    # the same answer on shapes, on vertex tuples and by the plain check
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coord = st.one_of(st.sampled_from([-2**30, -2**30 + 1, 0, 2**30 - 1, 2**30]),
+                      st.integers(-3, 3), st.integers(-2**30, 2**30))
+
+    def check(cfg, a, b):
+        want = _plain_conflict(cfg, a, b)
+        sa, sb = part_shape(cfg, a), part_shape(cfg, b)
+        assert parts_conflict(cfg, a, b) == want
+        assert parts_conflict(cfg, sa, sb) == parts_conflict(cfg, sa, b) == want
+        assert parts_conflict(cfg, b, sa) == want
+
+    settings = hyp.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+    @settings
+    @hyp.given(st.integers(3, 60), st.data())
+    def convex(n, data):
+        part = st.lists(st.integers(0, n - 1), min_size=2, max_size=5, unique=True)
+        check(convex_configuration(n), tuple(data.draw(part)), tuple(data.draw(part)))
+
+    @settings
+    @hyp.given(st.lists(st.tuples(coord, coord), min_size=2, max_size=8), st.data())
+    def coordinates(raw, data):
+        points = []  # the raw points in general position with those kept before
+        for p in raw:
+            if p not in points and all(orient(a, b, p) for a, b in combinations(points, 2)):
+                points.append(p)
+        hyp.assume(len(points) >= 2)
+        part = st.lists(st.integers(0, len(points) - 1), min_size=2,
+                        max_size=min(4, len(points)), unique=True)
+        check(coordinate_configuration(points), tuple(data.draw(part)),
+              tuple(data.draw(part)))
+
+    convex()
+    coordinates()

@@ -225,6 +225,33 @@ def test_stats_reports_thm5_constant(tmp_path, capsys):
     assert "n^2/9" in text  # palette compared against n^2/9 + C n^1.5
 
 
+@pytest.mark.parametrize("n", [2**63 + 5, 10**8], ids=["past-ssize_t", "1e8"])
+def test_verify_huge_convex_n_fails_cover(tmp_path, n):
+    # one edge of a huge convex n: the first uncovered pairs are found by a
+    # lazy scan, in a 2 GB address space
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"config": {"mode": "convex", "n": n},
+                                "parts": [{"vertices": [0, 1]}]}))
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            f"from geochroma.cli import main; print(main(['verify', {str(path)!r}]))")
+    out = _child(code).stdout.splitlines()
+    uncovered = n * (n - 1) // 2 - 1
+    assert out == [f"exact cover: FAILED (uncovered={uncovered}, repeated=0)", "1"]
+
+
+@pytest.mark.parametrize("n,colors,line", [
+    (7, list(range(7)) * 3, "  n^2/9 = 5.4; palette = n^2/9 + 0.0840 * n^1.5"),
+    (10**400, [0], "  n^2/9 = 1.1111E+799; palette within n^2/9 (C = 0)"),
+], ids=["n7", "n1e400"])
+def test_stats_palette_against_ninth_square(tmp_path, capsys, n, colors, line):
+    path = tmp_path / "dec.json"
+    parts = [{"vertices": list(e)} for e in combinations(range(min(n, 7)), 2)][:len(colors)]
+    path.write_text(json.dumps({"config": {"mode": "convex", "n": n}, "parts": parts,
+                                "coloring": colors}))
+    assert main(["stats", str(path)]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_experiment_single_suite(tmp_path, capsys):
     rep = tmp_path / "rep.json"
     assert main(["experiment", "acceptance-sts9", "--out", str(rep)]) == 0

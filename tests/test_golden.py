@@ -169,6 +169,30 @@ def test_coordinate_conflict_graph_digest(tmp_path, build, n, seed, m, digest):
     assert (g.m, hashlib.sha256(blob.encode()).hexdigest()) == (m, digest)
 
 
+@pytest.mark.parametrize("build,m,digest", [
+    # color-search's exact and budgeted inputs
+    pytest.param(["thm4", "-n", "48"], 616,
+                 "a189c0ab3da545db67cc5bd162293066267717a001b2783a00e4e49f571328f4",
+                 id="thm4-n48"),
+    pytest.param(["thm32", "-k", "4"], 876,
+                 "5e68e1ac8c31f7727127b6ee79174ac16bd8193325866d8da0a7e28703668f1d",
+                 id="thm32-k4"),
+    pytest.param(None, 66,
+                 "c19bab19a654c249c12af929ff66b85fdc64b8a4859ceb2167ce99618725f615",
+                 id="edges-gen12-convex"),
+])
+def test_convex_conflict_graph_digest(tmp_path, build, m, digest):
+    out = tmp_path / "in.json"
+    if build is None:  # edges on `gen -n 12 --convex`
+        cfg = tmp_path / "cfg.json"
+        assert main(["gen", "-n", "12", "--convex", "--out", str(cfg)]) == 0
+        build = ["edges", "--config", str(cfg)]
+    assert main(["build", *build, "--out", str(out)]) == 0
+    g = conflict_graph(load_decomposition(out)[0])
+    blob = json.dumps(list(g.adj), separators=(",", ":"))
+    assert (g.m, hashlib.sha256(blob.encode()).hexdigest()) == (m, digest)
+
+
 def test_field_tables_digest():
     # every supported GF(q), q <= 32: the axiom tests accept any relabelling
     # of a field, and a relabelled field changes every plane built on it
