@@ -64,7 +64,7 @@ def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
         "parameters": params,
         "seed": seed,
         "version": __version__,
-        "elapsed_s": round(time.time() - t0, 3),
+        "elapsed_s": round(time.perf_counter() - t0, 3),
         "outputs": {os.path.basename(out_path): digest},
     }
     with open(out_path + ".manifest.json", "w") as fh:
@@ -73,7 +73,7 @@ def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
 
 
 def cmd_gen(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.mode == "convex":
         config = convex_configuration(args.n)
     else:
@@ -105,7 +105,7 @@ def _build_config(args, need_mode):
 
 
 def cmd_build(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     coloring = None
     name = args.construction
     if args.config and name in ("thm4", "thm32"):
@@ -152,7 +152,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_color(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     decomp, _ = load_decomposition(args.file)
     g = conflict_graph(decomp)
     if args.mode == "greedy":
@@ -217,7 +217,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_render(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     decomp, coloring = load_decomposition(args.file)
     svg = render_svg(
         decomp,

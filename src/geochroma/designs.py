@@ -4,7 +4,9 @@ Every supported GF(q) is table-driven: a prime field is the degree-1 case and
 a prime power uses a fixed table of irreducible polynomials (q <= 32).
 Desarguesian planes are built from homogeneous triples over GF(q), normalized
 so the first nonzero coordinate is 1, and each line's q+1 points are listed
-directly from its triple; the plane axioms are checked exhaustively in tests.
+directly from its triple.  The one incidence table serves both ways, since the
+plane is self-dual in these coordinates; the plane axioms are checked
+exhaustively in tests.
 """
 
 from __future__ import annotations
@@ -108,13 +110,14 @@ class ProjectivePlane:
     """Desarguesian plane of order q as a point/line incidence structure.
 
     Points and lines are both normalized homogeneous triples; index i names
-    point i and line i alike (the structure is self-dual in coordinates).
+    point i and line i alike.  Point j lies on line i iff their triples are
+    orthogonal, a symmetric relation, so line_points[i] is also the set of
+    lines through point i: the one table serves both incidences.
     """
 
     q: int
     points: tuple[tuple[int, int, int], ...]
     line_points: tuple[frozenset, ...]
-    point_lines: tuple[frozenset, ...]
 
     @property
     def size(self) -> int:
@@ -156,21 +159,12 @@ def projective_plane(q: int) -> ProjectivePlane:
             # the line x = 0
             members = list(range(qq, qq + q + 1))
         line_points.append(frozenset(members))
-    point_lines = [set() for _ in pts]
-    for li, members in enumerate(line_points):
-        for pj in members:
-            point_lines[pj].add(li)
-    return ProjectivePlane(
-        q=q,
-        points=tuple(pts),
-        line_points=tuple(line_points),
-        point_lines=tuple(frozenset(s) for s in point_lines),
-    )
+    return ProjectivePlane(q=q, points=tuple(pts), line_points=tuple(line_points))
 
 
 def pencil_through(plane: ProjectivePlane, z: int, m: int) -> list[list[int]]:
     """m lines through z, each returned with z removed (pairwise disjoint q-sets)."""
-    lines = sorted(plane.point_lines[z])
+    lines = sorted(plane.line_points[z])  # self-dual: the lines through point z
     if m > len(lines):
         raise InputError(
             f"only {len(lines)} lines pass through a point, requested {m}"
@@ -188,7 +182,7 @@ def pencil_transversals(plane: ProjectivePlane, m: int) -> list[tuple[int, ...]]
     """
     pencil = pencil_through(plane, 0, m)
     where = {pt: (a, idx) for a, line in enumerate(pencil) for idx, pt in enumerate(line)}
-    through0 = plane.point_lines[0]
+    through0 = plane.line_points[0]
     out = []
     for li, members in enumerate(plane.line_points):
         if li in through0:

@@ -3,7 +3,10 @@
 The continuous existence results (equal-measure partitions by three lines) are
 realized here by exhaustive candidate search with exact integer arithmetic.
 Cut lines are always placed strictly between points: no input point ever lies
-on a cut, and every assignment can be recounted from the stored lines.
+on a cut, and every assignment can be recounted from the stored lines.  Side
+patterns are never copied from the points (a fan's come from a fixed table by
+clockwise sector), so the recount checks what it is given.  Each strip try
+sorts its projections once and cuts that order at every rank it needs.
 
 The ham-sandwich search counts sides in numpy int64, for one anchor against
 every candidate partner at once.  That is exact because every coordinate
@@ -123,21 +126,28 @@ def _candidate_normals(pts, first=None):
                 yield w
 
 
-def _projection_split(pts, w, rank):
-    """CutLine with normal w separating the `rank` lowest projections.
+def _projection_cuts(pts, w, ranks):
+    """Cut pts, sorted by projection onto w, at each of the ascending ranks.
 
-    Returns (low, high, line) or None when the boundary projections tie.
+    Returns (parts, lines): the len(ranks) + 1 runs of indices between the
+    cuts, lowest first, and per rank the CutLine with normal w between its two
+    sides; None when the projections at some cut tie.  Raises InputError
+    unless every rank is in 1..len(pts)-1.
     """
+    n = len(pts)
+    if not all(0 < r < n for r in ranks):
+        raise InputError(f"projection ranks {list(ranks)} must lie in 1..{n - 1}")
     wx, wy = w
     proj = sorted((wx * p.x + wy * p.y, i) for i, p in enumerate(pts))
-    lo_v = proj[rank - 1][0]
-    hi_v = proj[rank][0]
-    if lo_v == hi_v:
-        return None
-    line = CutLine(2 * wx, 2 * wy, lo_v + hi_v)
-    low = [i for _, i in proj[:rank]]
-    high = [i for _, i in proj[rank:]]
-    return low, high, line
+    lines = []
+    for r in ranks:
+        lo_v, hi_v = proj[r - 1][0], proj[r][0]
+        if lo_v == hi_v:
+            return None
+        lines.append(CutLine(2 * wx, 2 * wy, lo_v + hi_v))
+    bounds = (0, *ranks, n)
+    parts = [[i for _, i in proj[s:e]] for s, e in zip(bounds, bounds[1:])]
+    return parts, lines
 
 
 def projection_splits(pts, rank):
@@ -145,12 +155,14 @@ def projection_splits(pts, rank):
 
     Yields (w, low, high, line) for each candidate normal w, in the order of
     _candidate_normals(pts, first=(0, 1)), whose boundary projections differ;
-    line has normal w and lies strictly between low and high.
+    line has normal w and lies strictly between low and high.  Raises
+    InputError unless 1 <= rank <= len(pts) - 1.
     """
     for w in _candidate_normals(pts, first=(0, 1)):
-        split = _projection_split(pts, w, rank)
-        if split is not None:
-            yield (w, *split)
+        cut = _projection_cuts(pts, w, (rank,))
+        if cut is not None:
+            (low, high), (line,) = cut
+            yield w, low, high, line
 
 
 # --- exact nudged lines ------------------------------------------------------
@@ -224,16 +236,11 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
                      key=lambda t: (t != canonical, abs(t - third), t))
 
     def attempt(t, w):
-        low_split = _projection_split(pts, w, t)
-        if low_split is None:
+        # t <= n - t: the low strip B, the middle M and the high strip A
+        cut = _projection_cuts(pts, w, (t, n - t))
+        if cut is None:
             return None
-        B, rest, line_lo = low_split
-        high_split = _projection_split(pts, w, n - t)
-        if high_split is None:
-            return None
-        _, A, line_hi = high_split
-        Aset = set(A)
-        M = [i for i in rest if i not in Aset]
+        (B, M, A), (line_lo, line_hi) = cut
         label = [0] * n  # 0=A 1=M 2=B
         for i in M:
             label[i] = 1
@@ -244,10 +251,10 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
             return None
         return found, label, line_hi, line_lo, (A, M, B)
 
-    # preferred strip sizes first over a bounded direction sweep, then an
-    # unbounded last resort before declaring exhaustion
-    stream = ((t, w) for cap in (48, None) for t in t_order
-              for w in islice(_candidate_normals(pts), cap))
+    # preferred strip sizes first over the first 48 directions, then the later
+    # ones as a last resort (attempt is pure: a failed direction stays failed)
+    stream = ((t, w) for start, stop in ((0, 48), (48, None)) for t in t_order
+              for w in islice(_candidate_normals(pts), start, stop))
     hit = next(filter(None, (attempt(t, w) for t, w in stream)), None)
     if hit is None:
         raise InputError(
@@ -415,14 +422,19 @@ def six_fan(config: Configuration, q: int) -> RegionAssignment:
             # ccw half of u and D the open cw half: cross(u, p - center) = w . p - c/2
             Us = _sort_halfplane(dirs, Us)
             Ds = _sort_halfplane(dirs, Ds)
-            fan = _try_fan_center(pts, q, line1, (PX, PY, PD), dirs, Us, Ds)
+            fan = _try_fan_center(q, line1, (PX, PY, PD), dirs, Us, Ds)
             if fan is not None:
                 recount_regions(fan, config)
                 return fan
     raise InputError(f"six_fan: candidate search exhausted (m={m}, q={q})")
 
 
-def _try_fan_center(pts, q, line1, center, dirs, Us, Ds):
+# signs against (line1, cut2, cut3) of clockwise fan sector k: the center is on
+# no line through two points and each ray strictly between two points
+_FAN_PATTERNS = ((-1, -1, -1), (-1, -1, 1), (-1, 1, 1), (1, 1, 1), (1, 1, -1), (1, -1, -1))
+
+
+def _try_fan_center(q, line1, center, dirs, Us, Ds):
     """Fan with cuts line1 and two rays through center = (PX, PY, PD), the
     point (PX/PD, PY/PD) on line1, or None.  dirs[i] is PD * (pts[i] - center),
     and Us, Ds are the two sides of line1 in ccw angular order."""
@@ -442,44 +454,24 @@ def _try_fan_center(pts, q, line1, center, dirs, Us, Ds):
             p += 1
         below[k] = p
 
-    for a in range(q, su - 2 * q + 1):
-        for b in range(a + q, su - q + 1):
-            r2, r3 = rays[a], rays[b]
-            i2, i3 = below[a], below[b]
-            d1, d2, d3 = i2, i3 - i2, sd - i3
-            if min(d1, d2, d3) < q:
-                continue
-            # ccw sectors: U[:a], U[a:b], U[b:], D[:i2], D[i2:i3], D[i3:]
-            ccw = [Us[:a], Us[a:b], Us[b:], Ds[:i2], Ds[i2:i3], Ds[i3:]]
-            cw = list(reversed(ccw))
-            cut2 = _line_through_center(PX, PY, PD, r2)
-            cut3 = _line_through_center(PX, PY, PD, r3)
-            cuts = [line1, cut2, cut3]
-            regions, spill, patterns = [], [], []
-            ok = True
-            for sector in cw:
-                sig = None
-                for v in sector:
-                    s = tuple(cut.side(pts[v]) for cut in cuts)
-                    if 0 in s or (sig is not None and s != sig):
-                        ok = False
-                        break
-                    sig = s
-                if not ok:
-                    break
-                regions.append(sector[:q])
-                spill.extend(sector[q:])
-                patterns.append([sig])
-            if not ok:
-                continue
-            return RegionAssignment(
-                regions=regions,
-                spill=sorted(spill),
-                cuts=cuts,
-                patterns=patterns,
-                center=(Fraction(PX, PD), Fraction(PY, PD)),
-            )
-    return None
+    fit = next(((a, b) for a in range(q, su - 2 * q + 1)
+                for b in range(a + q, su - q + 1)
+                if min(below[a], below[b] - below[a], sd - below[b]) >= q), None)
+    if fit is None:
+        return None
+    a, b = fit
+    i2, i3 = below[a], below[b]
+    # ccw sectors: U[:a], U[a:b], U[b:], D[:i2], D[i2:i3], D[i3:]
+    cw = [Ds[i3:], Ds[i2:i3], Ds[:i2], Us[b:], Us[a:b], Us[:a]]
+    cuts = [line1, _line_through_center(PX, PY, PD, rays[a]),
+            _line_through_center(PX, PY, PD, rays[b])]
+    return RegionAssignment(
+        regions=[sector[:q] for sector in cw],
+        spill=sorted(v for sector in cw for v in sector[q:]),
+        cuts=cuts,
+        patterns=[[pattern] for pattern in _FAN_PATTERNS],
+        center=(Fraction(PX, PD), Fraction(PY, PD)),
+    )
 
 
 def _line_through_center(PX, PY, PD, direction) -> CutLine:

@@ -52,6 +52,21 @@ def test_out_commands_close_their_files(tmp_path):
     assert "ResourceWarning" not in err
 
 
+def test_elapsed_times_ignore_wall_clock_steps(tmp_path, monkeypatch):
+    import time
+
+    from geochroma.experiments import criterion_sts9
+
+    # a wall clock that steps back an hour after its first reading
+    readings = iter([1e9 + 3600.0])
+    monkeypatch.setattr(time, "time", lambda: next(readings, 1e9))
+    out = tmp_path / "conv.json"
+    assert main(["gen", "-n", "9", "--convex", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "conv.json.manifest.json").read_text())
+    assert manifest["elapsed_s"] >= 0
+    assert criterion_sts9()["elapsed_s"] >= 0
+
+
 def test_gen_convex(tmp_path):
     out = tmp_path / "conv.json"
     assert main(["gen", "-n", "9", "--convex", "--out", str(out)]) == 0

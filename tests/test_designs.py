@@ -53,12 +53,14 @@ def test_plane_counts():
 def test_plane_axioms_exhaustive(q):
     plane = projective_plane(q)
     n = plane.size
+    point_lines = [{li for li, members in enumerate(plane.line_points) if pj in members}
+                   for pj in range(n)]
     assert all(len(l) == q + 1 for l in plane.line_points)
-    assert all(len(l) == q + 1 for l in plane.point_lines)
+    assert all(len(l) == q + 1 for l in point_lines)
     for l1, l2 in combinations(range(n), 2):
         assert len(plane.line_points[l1] & plane.line_points[l2]) == 1
     for p1, p2 in combinations(range(n), 2):
-        assert len(plane.point_lines[p1] & plane.point_lines[p2]) == 1
+        assert len(point_lines[p1] & point_lines[p2]) == 1
 
 
 @pytest.mark.parametrize("q", (11, 13, 16, 29))
@@ -79,8 +81,9 @@ def test_plane_matches_brute_force_incidence(q):
     for li, line in enumerate(pts):
         expected = {pj for pj, pt in enumerate(pts) if on(line, pt)}
         assert plane.line_points[li] == expected, line
+    # self-duality: line_points[j] is also the set of lines through point j
     for pj in range(len(pts)):
-        assert plane.point_lines[pj] == {
+        assert plane.line_points[pj] == {
             li for li, members in enumerate(plane.line_points) if pj in members
         }
 

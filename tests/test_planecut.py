@@ -13,11 +13,14 @@ from geochroma.exactgeom import (
     generate_general_position,
     proper_cross,
 )
+from geochroma import planecut
 from geochroma.planecut import (
+    _candidate_normals,
     _ham_sandwich,
     _nudged_line,
     _side_counts,
     nine_regions,
+    projection_splits,
     recount_regions,
     six_fan,
     six_parts_two_parallel,
@@ -115,6 +118,83 @@ def test_six_fan_infeasible():
     cfg = generate_general_position(10, seed=1)
     with pytest.raises(InputError):
         six_fan(cfg, 2)  # needs 12 points
+
+
+# signs against (line1, cut2, cut3) of clockwise fan sector k, written out
+# here rather than imported so the property test checks the module's table
+FAN_SIGNS = ((-1, -1, -1), (-1, -1, 1), (-1, 1, 1), (1, 1, 1), (1, 1, -1), (1, -1, -1))
+
+
+def test_six_fan_sectors_match_sign_table_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def point_sets(coord):
+        return st.lists(st.tuples(coord, coord), min_size=6, max_size=18, unique=True)
+
+    grid = point_sets(st.integers(-2**5, 2**5))
+    full = point_sets(st.one_of(st.sampled_from([-COORD_BOUND, COORD_BOUND]),
+                                st.integers(-COORD_BOUND, COORD_BOUND)))
+
+    def check(xy, data):
+        pts = tuple(Point(x, y) for x, y in xy)
+        cfg = Configuration(mode="coordinates", n=len(pts), points=pts)
+        q = data.draw(st.integers(1, len(pts) // 6))
+        try:
+            asg = six_fan(cfg, q)
+        except InputError:  # no fan fits, e.g. when every point is on one line
+            return
+        assert [len(r) for r in asg.regions] == [q] * 6
+        assert sorted(v for r in asg.regions + [asg.spill] for v in r) == list(range(len(pts)))
+        for region, signs in zip(asg.regions, FAN_SIGNS):
+            for v in region:
+                assert tuple(cut.side(pts[v]) for cut in asg.cuts) == signs
+        for v in asg.spill:
+            assert tuple(cut.side(pts[v]) for cut in asg.cuts) in FAN_SIGNS
+
+    settings = hyp.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    for points in (grid, full):
+        settings(hyp.given(points, st.data())(check))()
+
+
+def test_projection_splits_rejects_rank_outside_range():
+    pts = generate_general_position(10, seed=4).points
+    for rank in (-1, 0, 10, 11):
+        with pytest.raises(InputError):
+            next(projection_splits(pts, rank))
+    for rank in (1, 9):
+        w, low, high, line = next(projection_splits(pts, rank))
+        assert len(low) == rank and sorted(low + high) == list(range(10))
+        assert all(line.side(pts[i]) < 0 for i in low)
+        assert all(line.side(pts[i]) > 0 for i in high)
+
+
+def test_six_parts_exhausted_search_tries_each_strip_once(monkeypatch):
+    # n = 8 has more than the 48 directions of the first pass, so the
+    # fallback runs too; a failing (t, w) must not be retried there
+    cfg = generate_general_position(8, seed=1)
+    pts, n = cfg.points, cfg.n
+    tried = []
+
+    def no_line(pts, label, strips, lo):
+        tried.append(tuple(tuple(s) for s in strips))
+        return None
+
+    monkeypatch.setattr(planecut, "_ham_sandwich", no_line)
+    with pytest.raises(InputError):
+        six_parts_two_parallel(cfg)
+    lo = -(-n // 6) - 1
+    normals = list(_candidate_normals(pts))
+    assert len(normals) > 48
+    expected = []
+    for t in range(max(1, 2 * lo), (n - 2 * lo) // 2 + 1):
+        for wx, wy in normals:
+            proj = sorted((wx * p.x + wy * p.y, i) for i, p in enumerate(pts))
+            if proj[t - 1][0] == proj[t][0] or proj[n - t - 1][0] == proj[n - t][0]:
+                continue
+            order = [i for _, i in proj]
+            expected.append((tuple(order[n - t:]), tuple(order[t:n - t]), tuple(order[:t])))
+    assert Counter(tried) == Counter(expected)
 
 
 def test_nine_regions_n90():
