@@ -129,7 +129,7 @@ def cmd_build(args) -> int:
         decomp, coloring = thm3_construction(q, config=cfg, seed=args.seed)
     elif name == "thm5":
         cfg = _build_config(args, "coordinates")
-        decomp, coloring = thm5_construction(cfg, threshold=args.threshold)
+        decomp, coloring = thm5_construction(cfg)
     elif name == "thm32":
         if args.k is None:
             raise InputError("thm32 needs -k (even, >= 4)")
@@ -139,7 +139,7 @@ def cmd_build(args) -> int:
     out = args.out or f"{name}.json"
     save_decomposition(decomp, out, coloring=coloring)
     _write_manifest(out, f"build {name}",
-                    {k: getattr(args, k) for k in ("n", "q", "k", "threshold")},
+                    {k: getattr(args, k) for k in ("n", "q", "k")},
                     args.seed, t0)
     stats = decomp.metadata
     extra = f", colors={coloring.palette}" if coloring else ""
@@ -270,7 +270,6 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("-q", type=int)
     b.add_argument("-k", type=int)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--threshold", type=int, default=72)
     b.add_argument("--mode", choices=("coordinates", "convex"), default="convex")
     b.add_argument("--config", help="input configuration file")
     b.add_argument("--out")

@@ -338,10 +338,15 @@ _K9_TRIANGLES = (
 )
 
 
-def thm5_construction(config: Configuration, threshold: int = 72) -> Construction:
+# the fewest points on which a thm5 level can place a K9: a pencil of nine
+# lines needs plane order q >= 8, and a level of m points tries q <= m // 9
+THM5_MIN_LEVEL = 72
+
+
+def thm5_construction(config: Configuration) -> Construction:
     """Mostly-triangle decomposition with a proper coloring, built recursively.
 
-    At each level with at least `threshold` points, a nine-region refinement
+    At each level with at least THM5_MIN_LEVEL points, a nine-region refinement
     and a projective-plane pencil produce edge-disjoint K9s, each decomposed
     into 12 triangles; the explicit sharing rules use at most nine colors per
     K9, the three strips recurse sharing one color block, and all remaining
@@ -369,7 +374,7 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> Constructio
         and return how many colors they use."""
         ordered = sorted(idxs)
         m = len(ordered)
-        if m < threshold:
+        if m < THM5_MIN_LEVEL:
             return 0
         sub_pts = tuple(pts[i] for i in ordered)
         sub = Configuration(mode="coordinates", n=m, points=sub_pts)
@@ -423,7 +428,7 @@ def thm5_construction(config: Configuration, threshold: int = 72) -> Constructio
     meta = {
         "construction": "thm5",
         "n": n,
-        "threshold": threshold,
+        "threshold": THM5_MIN_LEVEL,
         "triangles": triangles,
         "singleton_edges": len(singles),
         "non_triangle_edge_fraction": len(singles) / (n * (n - 1) // 2),

@@ -153,21 +153,31 @@ def canonical_direction(dx: int, dy: int) -> tuple[int, int]:
     return dx, dy
 
 
+def _collinear_pair(p: Point, pts: Sequence[Point]) -> tuple[int, int] | None:
+    """The first clash of p with pts in order: (k, k) when pts[k] equals p,
+    (j, k) when pts[k] lies on one line through p with an earlier pts[j] (their
+    directions from p are equal up to sign), None when there is no clash."""
+    seen: dict[tuple[int, int], int] = {}
+    for k, q in enumerate(pts):
+        dx, dy = q.x - p.x, q.y - p.y
+        if dx == 0 and dy == 0:
+            return k, k
+        key = canonical_direction(dx, dy)
+        if key in seen:
+            return seen[key], k
+        seen[key] = k
+    return None
+
+
 def assert_general_position(points: Sequence[Point]) -> None:
     """Reject duplicate points and collinear triples (O(n^2) slope hashing)."""
     for i, p in enumerate(points):
-        seen: dict[tuple[int, int], int] = {}
-        for j in range(i + 1, len(points)):
-            q = points[j]
-            dx, dy = q.x - p.x, q.y - p.y
-            if dx == 0 and dy == 0:
-                raise InputError(f"duplicate point at indices {i} and {j}")
-            key = canonical_direction(dx, dy)
-            if key in seen:
-                raise InputError(
-                    f"collinear triple at indices {i}, {seen[key]}, {j}"
-                )
-            seen[key] = j
+        clash = _collinear_pair(p, points[i + 1:])
+        if clash is not None:
+            j, k = (i + 1 + c for c in clash)
+            if j == k:
+                raise InputError(f"duplicate point at indices {i} and {k}")
+            raise InputError(f"collinear triple at indices {i}, {j}, {k}")
 
 
 def check_coordinate_bound(points: Sequence[Point]) -> None:
@@ -189,53 +199,36 @@ def coordinate_configuration(points: Iterable) -> Configuration:
 
 
 def generate_general_position(n: int, bound: int = GEN_BOUND, seed: int = 0) -> Configuration:
-    """n distinct integer points with no three collinear, deterministic per seed."""
+    """n distinct integer points with no three collinear, deterministic per seed.
+
+    A draw from the grid |x|, |y| <= bound is kept iff _collinear_pair finds
+    no clash with the points placed so far (O(n) memory).  Each of the grid's
+    2 bound + 1 rows holds at most two such points, so a larger n is rejected."""
     if n < 1:
         raise InputError("n must be >= 1")
     if bound < 1 or bound > COORD_BOUND:
         raise InputError(f"bound must be in 1..2**30, got {bound}")
+    rows = 2 * bound + 1
+    if n > 2 * rows:
+        raise InputError(f"at most {2 * rows} points fit in general position within "
+                         f"bound {bound} (two in each of its {rows} rows), got n={n}")
     rng = random.Random(seed)
     pts: list[Point] = []
-    dirsets: list[set[tuple[int, int]]] = []
-    occupied: set[tuple[int, int]] = set()
-    attempts = 0
-    limit = 5000 * n + 5000
-    while len(pts) < n:
-        attempts += 1
-        if attempts > limit:
-            raise InputError(
-                f"could not place {n} points in general position within "
-                f"bound {bound} (placed {len(pts)})"
-            )
+    for _ in range(5000 * n + 5000):
         cand = Point(rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if (cand.x, cand.y) in occupied:
-            continue
-        dirs = []
-        ok = True
-        for i, p in enumerate(pts):
-            key = canonical_direction(cand.x - p.x, cand.y - p.y)
-            if key in dirsets[i]:
-                ok = False
-                break
-            dirs.append(key)
-        if not ok:
-            continue
-        for i, key in enumerate(dirs):
-            dirsets[i].add(key)
-        dirsets.append(set(dirs))
-        occupied.add((cand.x, cand.y))
-        pts.append(cand)
-    return Configuration(mode="coordinates", n=n, points=tuple(pts))
+        if _collinear_pair(cand, pts) is None:
+            pts.append(cand)
+            if len(pts) == n:
+                return Configuration(mode="coordinates", n=n, points=tuple(pts))
+    raise InputError(
+        f"could not place {n} points in general position within "
+        f"bound {bound} (placed {len(pts)})"
+    )
 
 
-def edge(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise InputError(f"degenerate edge ({u},{v})")
-    return (u, v) if u < v else (v, u)
-
-
-def part_edges(vertices: Sequence[int]) -> list[tuple[int, int]]:
-    return [edge(u, v) for u, v in combinations(sorted(vertices), 2)]
+def part_edges(vertices: Iterable[int]) -> list[tuple[int, int]]:
+    """A part's edges as (low, high) pairs in sorted order; vertices are distinct."""
+    return list(combinations(sorted(vertices), 2))
 
 
 class PartShape(NamedTuple):
@@ -250,7 +243,7 @@ class PartShape(NamedTuple):
 def part_shape(config: Configuration, vertices: Iterable[int]) -> PartShape:
     vs = frozenset(vertices)
     box = part_box(config, vs) if config.mode == "coordinates" else None
-    return PartShape(vs, tuple(combinations(sorted(vs), 2)), box)
+    return PartShape(vs, tuple(part_edges(vs)), box)
 
 
 def parts_conflict(config: Configuration, A, B) -> bool:

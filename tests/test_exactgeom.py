@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -15,7 +16,6 @@ from geochroma.exactgeom import (
     convex_cross,
     convex_noncrossing,
     coordinate_configuration,
-    edge,
     generate_general_position,
     orient,
     parts_conflict,
@@ -123,6 +123,26 @@ def test_generate_bound_too_small():
         generate_general_position(40, bound=2, seed=0)
 
 
+@pytest.mark.parametrize("n", [7, 2000])
+def test_generate_rejects_more_points_than_the_grid_rows_hold(n):
+    # each of the 3 rows of the bound-1 grid holds at most two of the points,
+    # so no seed places a seventh: the generator must say so before drawing
+    with pytest.raises(InputError, match=rf"^at most 6 points .* bound 1 .* got n={n}$"):
+        generate_general_position(n, bound=1, seed=0)
+
+
+def test_generate_memory_is_linear_in_n():
+    # a scan per candidate holds O(n) directions; a direction set per placed
+    # point would hold O(n^2) of them, about 40 MB at n = 600
+    tracemalloc.start()
+    try:
+        generate_general_position(600, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_configuration_rejections():
     with pytest.raises(InputError):
         coordinate_configuration([(0, 0), (0, 0), (1, 2)])
@@ -157,12 +177,6 @@ def test_write_json_matches_dumps(tmp_path, data):
     path = tmp_path / "out.json"
     write_json(data, path)
     assert path.read_text() == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def test_edge_normalization():
-    assert edge(5, 2) == (2, 5)
-    with pytest.raises(InputError):
-        edge(3, 3)
 
 
 def test_point_in_triangle_closed_vs_open():

@@ -22,7 +22,12 @@ from geochroma.constructions import (
     trivial_edge_decomposition,
 )
 from geochroma.designs import FiniteField, plane_order_supported
-from geochroma.exactgeom import InputError, convex_configuration, generate_general_position
+from geochroma.exactgeom import (
+    InputError,
+    convex_configuration,
+    coordinate_configuration,
+    generate_general_position,
+)
 from geochroma.planecut import nine_regions, six_fan, six_parts_two_parallel
 
 
@@ -238,6 +243,49 @@ def test_planecut_outputs_digest():
     blob = json.dumps(_planecut_sweep(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "714047d092b7687b2627fff8e8ea6e19c2c003976a15215e12fe21e4d131a5a0")
+
+
+# (n, bound, seed) with n <= 2(2 bound + 1), the most a grid of that bound
+# holds: small grids reject collinear candidates often, and the searches on
+# the fourth line run out with "placed k"
+_GEN_CASES = (
+    [(n, 1, s) for n in (4, 5) for s in range(3)]
+    + [(n, 2, s) for n in (6, 8) for s in range(3)]
+    + [(10, 3, 0), (10, 3, 1), (16, 5, 0), (16, 5, 1)]
+    + [(6, 1, 0), (10, 2, 1), (12, 3, 0), (14, 3, 0), (22, 5, 0)]
+    + [(2, 1 << 30, 3), (40, 1 << 30, 3)]
+)
+
+
+def _generated(n, bound, seed):
+    try:
+        return [[p.x, p.y] for p in generate_general_position(n, bound, seed).points]
+    except InputError as exc:
+        return str(exc)
+
+
+def test_generated_points_digest():
+    blob = json.dumps([_generated(*case) for case in _GEN_CASES])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "c29d3db7b6c6f446b1a8ff0d2e94adf639f8c98fa1f47733a0e5529b6267b56c")
+
+
+def test_general_position_messages_digest():
+    # the loader's verdict on 3,000 seeded point lists from a 7x7 grid, 1,843
+    # of them rejected: a duplicate is reported before a collinear triple
+    # when its second point comes first, with the indices of the first clash
+    rng = random.Random(16)
+    msgs = []
+    for _ in range(3000):
+        pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 9))]
+        try:
+            coordinate_configuration(pts)
+            msgs.append("ok")
+        except InputError as exc:
+            msgs.append(str(exc))
+    assert sum(m != "ok" for m in msgs) == 1843
+    assert hashlib.sha256(json.dumps(msgs).encode()).hexdigest() == (
+        "f846c95312a414308ebe6f8aa073ffb2b9357b17b484335216200de9eeabcd34")
 
 
 def _recolored(count, seed):
