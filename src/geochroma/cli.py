@@ -74,13 +74,13 @@ def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
 
 def cmd_gen(args) -> int:
     t0 = time.perf_counter()
-    if args.mode == "convex":
+    if args.convex:
         config = convex_configuration(args.n)
     else:
         config = generate_general_position(args.n, bound=args.bound, seed=args.seed)
     if args.out:
         save_config(config, args.out)
-        _write_manifest(args.out, "gen", {"n": args.n, "mode": args.mode,
+        _write_manifest(args.out, "gen", {"n": args.n, "mode": config.mode,
                                           "bound": args.bound}, args.seed, t0)
         print(f"wrote {args.out} ({config.mode}, n={config.n})")
     else:
@@ -89,6 +89,8 @@ def cmd_gen(args) -> int:
 
 
 def _build_config(args, need_mode):
+    """The configuration from --config, or from -n: generated points when
+    need_mode is "coordinates", else the convex n-gon."""
     if args.config:
         if args.n is not None:
             raise InputError("give -n or --config, not both")
@@ -96,12 +98,11 @@ def _build_config(args, need_mode):
         if need_mode is not None and cfg.mode != need_mode:
             raise InputError(f"{args.construction} needs a {need_mode} configuration")
         return cfg
-    mode = need_mode or args.mode
     if args.n is None:
         raise InputError("provide -n or --config")
-    if mode == "convex":
-        return convex_configuration(args.n)
-    return generate_general_position(args.n, seed=args.seed)
+    if need_mode == "coordinates":
+        return generate_general_position(args.n, seed=args.seed)
+    return convex_configuration(args.n)
 
 
 def cmd_build(args) -> int:
@@ -111,7 +112,7 @@ def cmd_build(args) -> int:
     if args.config and name in ("thm4", "thm32"):
         raise InputError(f"{name} builds its own convex configuration; it takes no --config")
     if name == "edges":
-        cfg = _build_config(args, None)  # any configuration mode works
+        cfg = _build_config(args, None)  # a --config file of either mode; -n is convex
         decomp = trivial_edge_decomposition(cfg)
     elif name == "thm4":
         if args.n is None:
@@ -257,8 +258,7 @@ def _parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a configuration file")
     g.add_argument("-n", type=int, required=True)
-    g.add_argument("--mode", choices=("coordinates", "convex"), default="coordinates")
-    g.add_argument("--convex", dest="mode", action="store_const", const="convex")
+    g.add_argument("--convex", action="store_true")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--bound", type=int, default=GEN_BOUND)
     g.add_argument("--out")
@@ -270,7 +270,6 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("-q", type=int)
     b.add_argument("-k", type=int)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--mode", choices=("coordinates", "convex"), default="convex")
     b.add_argument("--config", help="input configuration file")
     b.add_argument("--out")
     b.set_defaults(func=cmd_build)

@@ -21,7 +21,6 @@ from .exactgeom import (
     Configuration,
     InputError,
     boxes_apart,
-    check_coordinate_bound,
     config_from_dict,
     config_to_dict,
     convex_configuration,
@@ -45,6 +44,7 @@ from .designs import (
     BlockDesign,
     cyclic_sts,
     difference_triples,
+    orbit_block,
     pencil_transversals,
     plane_order_supported,
     projective_plane,
@@ -240,69 +240,55 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
 
 # --- thm32: cyclic STS box coloring -----------------------------------------------
 
-def _anchored_block(n, anchor, d1, d2):
-    return tuple(sorted((anchor % n, (anchor + d1) % n, (anchor + d1 + d2) % n)))
-
-
 def thm32_construction(k: int) -> Construction:
     """Triangle decomposition of the convex (18k+1)-gon with n(k/2+1) colors.
 
     Parts are the blocks of the cyclic STS generated from the difference-triple
-    table; each box of rows is placed as a nested chain of base triangles, and
-    color s + n(t-1) is the box-t pattern rotated by s.  The placement is
-    verified pairwise with the exact conflict predicate before coloring.
+    table; each box of rows is placed as a nested chain of base triangles, one
+    anchor per triple, and the placement is verified pairwise with the exact
+    conflict predicate.  Color (b-1)n + s is the box-b placement rotated by s:
+    block t*n + s of cyclic_sts, triple t's block at s, is its anchored block
+    rotated by (s - anchor) mod n.
     """
     table = difference_triples(k)
     n = table.n
     config = convex_configuration(n)
     design = cyclic_sts(n, table)
+    triples = table.triples()
 
-    by_box: dict[int, list] = {}
-    for row in table.rows:
-        by_box.setdefault(row.box, []).append(row)
+    by_box: dict[int, list[int]] = {}
+    for r, row in enumerate(table.rows):
+        by_box.setdefault(row.box, []).append(r)
 
-    anchored: list[tuple[tuple[int, int, int], int, int]] = []  # (triple, anchor, box)
+    anchors = [0] * len(triples)  # row r's triples e123, e456, e789 are 3r, 3r+1, 3r+2
     for box in sorted(by_box):
         rows = by_box[box]
         base = 0
         placed = []
-        for row in rows:
+        for r in rows:
+            row = table.rows[r]
             c1, c2, _ = row.e789
-            b1, b2, _ = row.e456
             a_c = base
             a_b = base + c1 + 1
             if len(rows) == 2:
-                a_a = a_b + b1 + 1
+                a_a = a_b + row.e456[0] + 1
             else:
                 a_a = base + c1 + c2 + 1
-            placed.append((row.e789, a_c))
-            placed.append((row.e456, a_b))
-            placed.append((row.e123, a_a))
+            anchors[3 * r:3 * r + 3] = a_a, a_b, a_c
+            placed += [3 * r + 2, 3 * r + 1, 3 * r]
             base = max(base + c1 + c2, a_a + row.e123[0] + row.e123[1]) + 1
         if base > n:
             raise AssertionError(f"box {box}: chains overflow the cycle")
-        blocks = [_anchored_block(n, a, t[0], t[1]) for t, a in placed]
-        for (ta, ba), (tb, bb) in combinations(zip([p[0] for p in placed], blocks), 2):
+        blocks = [orbit_block(n, anchors[t], *triples[t][:2]) for t in placed]
+        for (ta, ba), (tb, bb) in combinations(zip(placed, blocks), 2):
             if parts_conflict(config, ba, bb):
                 raise AssertionError(
-                    f"box {box}: triples {ta} and {tb} conflict when placed"
+                    f"box {box}: triples {triples[ta]} and {triples[tb]} conflict when placed"
                 )
-        for triple, anchor in placed:
-            anchored.append((triple, anchor, box))
 
-    block_color: dict[tuple[int, ...], int] = {}
-    for triple, anchor, box in anchored:
-        d1, d2, _ = triple
-        for s in range(n):
-            blk = _anchored_block(n, anchor + s, d1, d2)
-            if blk in block_color:
-                raise AssertionError(f"block {blk} generated twice")
-            block_color[blk] = (box - 1) * n + s
-    if set(block_color) != set(design.blocks):
-        raise AssertionError("anchored orbits disagree with the cyclic design")
-
+    colors = [(table.rows[t // 3].box - 1) * n + (s - a) % n
+              for t, a in enumerate(anchors) for s in range(n)]
     raw = [Part(vertices=blk, tag="triangle") for blk in design.blocks]
-    colors = [block_color[p.vertices] for p in raw]
     palette = max(colors) + 1
     if palette != n * (k // 2 + 1):
         raise AssertionError(f"palette {palette} != n(k/2+1) = {n * (k // 2 + 1)}")
@@ -353,7 +339,8 @@ def thm5_construction(config: Configuration) -> Construction:
     edges become singleton parts colored greedily at the end.  Triangles that
     would reuse an already-covered edge are discarded.  A level whose
     partition search is exhausted places no triangles; a failed planecut
-    check raises AssertionError.
+    check raises AssertionError.  Every coordinate is within the bound the
+    int64 side counts need, as Configuration checks it when it is built.
     """
     if config.mode != "coordinates":
         raise InputError("thm5 needs a coordinates configuration")
@@ -361,9 +348,6 @@ def thm5_construction(config: Configuration) -> Construction:
     if n < 2:
         raise InputError("need n >= 2")
     pts = config.points
-    # six_parts_two_parallel checks the bound too, but build() reads its
-    # InputError as an exhausted search, so an out-of-bound input fails here
-    check_coordinate_bound(pts)
     used: set[tuple[int, int]] = set()
     levels: list[dict] = []
     raw: list[Part] = []

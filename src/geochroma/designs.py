@@ -11,6 +11,7 @@ exhaustively in tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -217,10 +218,7 @@ def validate_design(d: BlockDesign) -> dict:
     the first UNCOVERED_LISTED of them in lexicographic order, drawn from a
     lazy scan, so a report on a nearly empty design stays small whatever its n.
     """
-    cover: dict[tuple[int, int], int] = {}
-    for blk in d.blocks:
-        for u, v in combinations(sorted(blk), 2):
-            cover[(u, v)] = cover.get((u, v), 0) + 1
+    cover = Counter(pair for blk in d.blocks for pair in combinations(sorted(blk), 2))
     covered = sum(1 for u, v in cover if 0 <= u < v < d.n)
     uncovered_count = d.n * (d.n - 1) // 2 - covered
     uncovered = []
@@ -354,15 +352,23 @@ def _validate_table(table: DifferenceTripleTable) -> None:
         raise AssertionError(f"differences not covered: {missing[:10]}")
 
 
+def orbit_block(n: int, s: int, d1: int, d2: int) -> tuple[int, int, int]:
+    """The block {s, s+d1, s+d1+d2} (mod n) at s in 0..n-1 of a triple's
+    cyclic orbit, sorted."""
+    return tuple(sorted((s, (s + d1) % n, (s + d1 + d2) % n)))
+
+
 def cyclic_sts(n: int, table: DifferenceTripleTable) -> BlockDesign:
-    """Cyclic STS(n): the orbit {s, s+d1, s+d1+d2} of every table triple."""
+    """Cyclic STS(n): the orbit of every table triple, in orbit order.
+
+    Block t*n + s is orbit_block(n, s, d1, d2) of the t-th triple of
+    table.triples(); validate_design rejects an uncovered or repeated pair,
+    so a repeated block too."""
     if n != table.n:
         raise InputError(f"table was built for n={table.n}, got {n}")
-    blocks = []
-    for d1, d2, _ in table.triples():
-        for s in range(n):
-            blocks.append(tuple(sorted((s, (s + d1) % n, (s + d1 + d2) % n))))
-    design = BlockDesign(n=n, blocks=tuple(sorted(blocks)))
+    blocks = tuple(orbit_block(n, s, d1, d2)
+                   for d1, d2, _ in table.triples() for s in range(n))
+    design = BlockDesign(n=n, blocks=blocks)
     report = validate_design(design)
     if not report["valid"]:
         raise InputError(

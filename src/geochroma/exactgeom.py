@@ -2,9 +2,10 @@
 
 Every predicate here is evaluated in exact integer (or rational) arithmetic;
 there is no floating point anywhere.  The documented coordinate bound
-(|x|, |y| <= 2**30) is a data contract enforced at load time: configurations
-outside the bound are rejected, never silently widened.  The predicates here
-use unbounded Python integers; planecut's int64 side counts rely on the bound.
+(|x|, |y| <= 2**30) is a data contract enforced where a Configuration is
+built, however it is built: configurations outside the bound are rejected,
+never silently widened.  The predicates here use unbounded Python integers;
+planecut's int64 side counts rely on the bound.
 
 parts_conflict reads each part through its PartShape (vertex set, sorted
 edges, closed box in coordinates mode), which callers that test a part many
@@ -127,6 +128,10 @@ class Configuration:
     no three collinear.  mode "convex": vertices are 0..n-1 in clockwise
     cyclic order and no coordinates are stored; all geometry goes through
     convex_cross.
+
+    Construction checks each mode's contract: a convex n >= 3, and every
+    coordinate within COORD_BOUND.  coordinate_configuration adds the
+    general-position check, which costs O(n^2).
     """
 
     mode: str
@@ -136,11 +141,16 @@ class Configuration:
     def __post_init__(self):
         if self.mode not in ("coordinates", "convex"):
             raise InputError(f"unknown configuration mode {self.mode!r}")
+        if self.mode == "convex" and self.n < 3:
+            raise InputError(f"convex configuration needs n >= 3, got {self.n}")
+        for idx, p in enumerate(self.points):
+            if abs(p.x) > COORD_BOUND or abs(p.y) > COORD_BOUND:
+                raise InputError(
+                    f"point {idx} exceeds coordinate bound 2**30: ({p.x}, {p.y})"
+                )
 
 
 def convex_configuration(n: int) -> Configuration:
-    if n < 3:
-        raise InputError(f"convex configuration needs n >= 3, got {n}")
     return Configuration(mode="convex", n=n)
 
 
@@ -180,22 +190,13 @@ def assert_general_position(points: Sequence[Point]) -> None:
             raise InputError(f"collinear triple at indices {i}, {j}, {k}")
 
 
-def check_coordinate_bound(points: Sequence[Point]) -> None:
-    """Reject any point with |x| or |y| above COORD_BOUND."""
-    for idx, p in enumerate(points):
-        if abs(p.x) > COORD_BOUND or abs(p.y) > COORD_BOUND:
-            raise InputError(
-                f"point {idx} exceeds coordinate bound 2**30: ({p.x}, {p.y})"
-            )
-
-
 def coordinate_configuration(points: Iterable) -> Configuration:
     pts = tuple(
         p if isinstance(p, Point) else Point(int(p[0]), int(p[1])) for p in points
     )
-    check_coordinate_bound(pts)
+    config = Configuration(mode="coordinates", n=len(pts), points=pts)
     assert_general_position(pts)
-    return Configuration(mode="coordinates", n=len(pts), points=pts)
+    return config
 
 
 def generate_general_position(n: int, bound: int = GEN_BOUND, seed: int = 0) -> Configuration:

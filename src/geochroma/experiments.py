@@ -22,8 +22,8 @@ from .exactgeom import (
 )
 from .designs import sts9, validate_design, difference_triples, cyclic_sts
 from .constructions import (
-    Decomposition,
     Part,
+    _finalize,
     thm3_construction,
     thm4_construction,
     thm5_construction,
@@ -242,11 +242,7 @@ def _random_instance(rng, n):
             continue
         used.update(es)
         parts.append(Part(vertices=tri, tag="triangle"))
-    for u, v in combinations(range(n), 2):
-        if (u, v) not in used:
-            parts.append(Part(vertices=(u, v), tag="singleton-edge"))
-    parts.sort(key=lambda p: p.vertices)
-    return Decomposition(config=config, parts=parts, metadata={"random": True})
+    return _finalize(config, parts, {"random": True}).decomposition
 
 
 def _brute_force_palette(g: ConflictGraph) -> int:

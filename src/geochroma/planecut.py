@@ -12,9 +12,9 @@ The ham-sandwich search counts sides in numpy int64, for one anchor against
 every candidate partner at once.  That is exact because every coordinate
 satisfies |x|, |y| <= exactgeom.COORD_BOUND = 2**30: each cross-product term is
 at most 2**31 * 2**31 = 2**62 in magnitude, and the two terms are compared,
-never subtracted.  six_parts_two_parallel enforces the bound itself, for
-configurations built without the loader.  numpy is imported only where the
-sides are counted, so importing the package does not load it.
+never subtracted.  Configuration enforces the bound when it is built, so no
+input here can exceed it.  numpy is imported only where the sides are
+counted, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .exactgeom import (
     InputError,
     Point,
     canonical_direction,
-    check_coordinate_bound,
 )
 
 
@@ -224,7 +223,6 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
     if n < 6:
         raise InputError("need n >= 6")
     pts = config.points
-    check_coordinate_bound(pts)  # keeps the int64 side counts exact
     lo = -(-n // 6) - 1  # ceil(n/6) - 1
     # outer strip size t must allow halves >= lo and a middle of >= 2*lo;
     # the canonical allocation ceil(n/3) comes first (it is the one the

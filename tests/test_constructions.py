@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -28,7 +30,7 @@ from geochroma.constructions import (
     trivial_edge_decomposition,
     validate_decomposition,
 )
-from geochroma.chroma import verify_coloring
+from geochroma.chroma import triangle_census, verify_coloring
 
 
 def test_part_invariants():
@@ -279,12 +281,30 @@ def test_thm5_propagates_a_planecut_oracle_failure(monkeypatch):
 
 
 def test_thm5_rejects_coordinates_above_bound():
-    # built directly, so the loader's bound check never ran
+    # built directly, without the loader: the constructor checks the bound,
+    # so no out-of-bound configuration reaches thm5
     pts = list(generate_general_position(100, seed=11).points)
     pts[0] = Point(COORD_BOUND + 1, pts[0].y)
-    cfg = Configuration(mode="coordinates", n=100, points=tuple(pts))
     with pytest.raises(InputError, match="coordinate bound"):
-        thm5_construction(cfg)
+        thm5_construction(Configuration(mode="coordinates", n=100, points=tuple(pts)))
+
+
+def test_thm32_sweep_even_k_4_to_30():
+    # every even k up to 30: exact cover, a proper coloring with n(k/2+1)
+    # colors, at most 8 large triangles per class; all outputs pinned
+    digest = hashlib.sha256()
+    for k in range(4, 31, 2):
+        dec, col = thm32_construction(k)
+        n = 18 * k + 1
+        assert validate_decomposition(dec)["valid"], k
+        assert verify_coloring(dec, col) == [], k
+        assert col.palette == n * (k // 2 + 1), k
+        census = triangle_census(dec, col)
+        assert (census.limit, census.violations) == (8, []), k
+        data = decomposition_to_dict(dec, col)
+        digest.update(json.dumps(data, sort_keys=True, separators=(",", ":")).encode())
+    assert digest.hexdigest() == (
+        "2bf6a71b06c309a73613455e5cb559d8de981b233cdfbb0bf42068d9a6bcdbe3")
 
 
 def test_thm5_deterministic():

@@ -1,8 +1,9 @@
-"""The package's error contract, checked on its source.
+"""The package's error contract, and its imports, checked on its source.
 
 A cause the caller can fix raises `InputError`, the one exception class the
 package defines; a failed check on values the package computed itself raises
 AssertionError; `cli.main` turns only InputError and OSError into exit 2.
+Every module uses each name it imports.
 """
 
 import ast
@@ -51,3 +52,20 @@ def test_cli_main_catches_input_error_and_os_error_only():
     handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
     assert len(handlers) == 1
     assert [_name(t) for t in handlers[0].type.elts] == ["InputError", "OSError"]
+
+
+def test_every_imported_name_is_used():
+    # a deletion that leaves its import behind shows up here
+    unused = []
+    for file, tree in TREES.items():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(file, line, name) for name, line in imported.items() if name not in used]
+    assert unused == []

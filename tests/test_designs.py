@@ -7,6 +7,7 @@ from geochroma.designs import (
     FiniteField,
     cyclic_sts,
     difference_triples,
+    orbit_block,
     pencil_through,
     pencil_transversals,
     plane_order_supported,
@@ -199,6 +200,16 @@ def test_cyclic_sts_k4():
     assert validate_design(design)["valid"]
     shifted = {tuple(sorted((v + 1) % 73 for v in b)) for b in design.blocks}
     assert shifted == set(design.blocks)
+
+
+@pytest.mark.parametrize("k", (4, 6))
+def test_cyclic_sts_lists_blocks_in_orbit_order(k):
+    table = difference_triples(k)
+    n = table.n
+    design = cyclic_sts(n, table)
+    for i, (d1, d2, _) in enumerate(table.triples()):
+        for s in range(n):
+            assert design.blocks[i * n + s] == orbit_block(n, s, d1, d2)
 
 
 def test_cyclic_sts_wrong_n():

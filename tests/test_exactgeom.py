@@ -156,6 +156,19 @@ def test_configuration_rejections():
         Configuration(mode="spherical", n=3)
 
 
+def test_configuration_checks_its_contract_when_built():
+    # every way of building one checks the bound, not only the loader
+    corners = tuple(Point(x, y) for x in (-COORD_BOUND, COORD_BOUND)
+                    for y in (-COORD_BOUND, COORD_BOUND))
+    assert Configuration(mode="coordinates", n=4, points=corners).points == corners
+    for p in (Point(COORD_BOUND + 1, 0), Point(0, -COORD_BOUND - 1)):
+        with pytest.raises(InputError, match="point 1 exceeds coordinate bound"):
+            Configuration(mode="coordinates", n=2, points=(Point(0, 0), p))
+    assert Configuration(mode="convex", n=3).n == 3
+    with pytest.raises(InputError, match="n >= 3"):
+        Configuration(mode="convex", n=2)
+
+
 def test_config_json_round_trip():
     cfg = generate_general_position(15, seed=4)
     assert config_from_dict(config_to_dict(cfg)) == cfg

@@ -326,8 +326,8 @@ def test_ham_sandwich_matches_pair_scan_property():
 
 
 def test_six_parts_rejects_coordinates_above_bound():
-    # built directly, so the loader's bound check never ran
+    # built directly, without the loader: the constructor checks the bound,
+    # so no out-of-bound configuration reaches the int64 side counts
     pts = [Point(t, t * t) for t in range(5)] + [Point(COORD_BOUND + 1, 7)]
-    cfg = Configuration(mode="coordinates", n=6, points=tuple(pts))
     with pytest.raises(InputError):
-        six_parts_two_parallel(cfg)
+        six_parts_two_parallel(Configuration(mode="coordinates", n=6, points=tuple(pts)))
