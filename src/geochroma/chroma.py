@@ -480,17 +480,17 @@ class TauResult(NamedTuple):
 def tau_point(config: Configuration, p, budget: int = 500_000) -> TauResult:
     """Largest number of edge-disjoint triangles whose closed triangle
     contains p: a maximum clique of the edge-disjointness graph on those
-    triangles, exact when the search closes within budget."""
+    triangles, exact when the search closes within budget.  p is an (x, y)
+    pair of ints or Fractions, and must not be a vertex."""
     if config.mode != "coordinates":
         raise InputError("tau_point needs a coordinates configuration")
     pts = config.points
-    px, py = (p.x, p.y) if hasattr(p, "x") else (p[0], p[1])
-    if any(q.x == px and q.y == py for q in pts):
+    if p in pts:
         raise InputError("p must not be a vertex")
     cands = [
         tri
         for tri in combinations(range(config.n), 3)
-        if point_in_triangle((px, py), pts[tri[0]], pts[tri[1]], pts[tri[2]], closed=True)
+        if point_in_triangle(p, pts[tri[0]], pts[tri[1]], pts[tri[2]], closed=True)
     ]
     res = clique_index(_graph(cands, _edge_disjoint), budget=budget)
     return TauResult(res.size, res.exact)

@@ -48,6 +48,7 @@ from .designs import (
     pencil_transversals,
     plane_order_supported,
     projective_plane,
+    sts9,
     validate_design,
 )
 
@@ -253,7 +254,7 @@ def thm32_construction(k: int) -> Construction:
     table = difference_triples(k)
     n = table.n
     config = convex_configuration(n)
-    design = cyclic_sts(n, table)
+    design = cyclic_sts(table)
     triples = table.triples()
 
     by_box: dict[int, list[int]] = {}
@@ -305,22 +306,17 @@ def thm32_construction(k: int) -> Construction:
 # --- thm5: recursive triangle decomposition ---------------------------------------
 
 # the 12 STS(9) triangles of one K9 (positions 0..8, position i sits in region
-# R_{i+1}) in placement order, as (positions, color slot, tag): the
-# within-strip class shares one color, the cut-separated pair shares another,
-# its solo mate and each diagonal triangle get their own
+# R_{i+1}) in placement order, as (positions, color slot, tag), from the four
+# parallel classes of designs.sts9(): the column class lies within the strips
+# and shares one "within" color; rows 0 and 1, separated by a cut, share the
+# "pair" color; row 2 and each block of the two diagonal classes get their own
+_ROWS, _COLUMNS, *_DIAGONALS = sts9()[1]
 _K9_TRIANGLES = (
-    ((0, 3, 6), "within", "triangle-W0"),
-    ((1, 4, 7), "within", "triangle-W1"),
-    ((2, 5, 8), "within", "triangle-W2"),
-    ((0, 1, 2), "pair", "triangle-P0"),
-    ((3, 4, 5), "pair", "triangle-P1"),
-    ((6, 7, 8), "solo", "triangle-S"),
-    ((0, 4, 8), "diag0", "triangle-D0"),
-    ((1, 5, 6), "diag1", "triangle-D1"),
-    ((2, 3, 7), "diag2", "triangle-D2"),
-    ((0, 5, 7), "diag3", "triangle-D3"),
-    ((1, 3, 8), "diag4", "triangle-D4"),
-    ((2, 4, 6), "diag5", "triangle-D5"),
+    tuple((blk, "within", f"triangle-W{i}") for i, blk in enumerate(_COLUMNS))
+    + ((_ROWS[0], "pair", "triangle-P0"), (_ROWS[1], "pair", "triangle-P1"),
+       (_ROWS[2], "solo", "triangle-S"))
+    + tuple((blk, f"diag{i}", f"triangle-D{i}")
+            for i, blk in enumerate(chain.from_iterable(_DIAGONALS)))
 )
 
 

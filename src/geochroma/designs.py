@@ -358,14 +358,14 @@ def orbit_block(n: int, s: int, d1: int, d2: int) -> tuple[int, int, int]:
     return tuple(sorted((s, (s + d1) % n, (s + d1 + d2) % n)))
 
 
-def cyclic_sts(n: int, table: DifferenceTripleTable) -> BlockDesign:
-    """Cyclic STS(n): the orbit of every table triple, in orbit order.
+def cyclic_sts(table: DifferenceTripleTable) -> BlockDesign:
+    """Cyclic STS(n), n = table.n: the orbit of every table triple, in orbit
+    order.
 
     Block t*n + s is orbit_block(n, s, d1, d2) of the t-th triple of
     table.triples(); validate_design rejects an uncovered or repeated pair,
     so a repeated block too."""
-    if n != table.n:
-        raise InputError(f"table was built for n={table.n}, got {n}")
+    n = table.n
     blocks = tuple(orbit_block(n, s, d1, d2)
                    for d1, d2, _ in table.triples() for s in range(n))
     design = BlockDesign(n=n, blocks=blocks)

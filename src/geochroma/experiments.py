@@ -54,6 +54,15 @@ def _report(num, name, passed, details, t0):
     }
 
 
+def _family_check(config, parts):
+    """(edge-disjoint, conflicting pairs, pairs) for a family of vertex tuples:
+    it is edge-disjoint iff every two parts share at most one vertex."""
+    pairs = list(combinations(parts, 2))
+    disjoint = all(len(set(a) & set(b)) <= 1 for a, b in pairs)
+    conflicts = sum(1 for a, b in pairs if parts_conflict(config, a, b))
+    return disjoint, conflicts, len(pairs)
+
+
 def criterion_sts9():
     """12 blocks in 4 parallel classes covering all 36 pairs once."""
     t0 = time.perf_counter()
@@ -82,14 +91,9 @@ def criterion_thm4():
         want = (n // 3) ** 2
         dist = fam.distinguished
         cover = validate_decomposition(d)["valid"]
-        disjoint = all(
-            len(set(d.parts[i].vertices) & set(d.parts[j].vertices)) <= 1
-            for i, j in combinations(dist, 2)
-        )
-        conflicting = all(
-            parts_conflict(d.config, d.parts[i].vertices, d.parts[j].vertices)
-            for i, j in combinations(dist, 2)
-        )
+        disjoint, conflicts, pairs = _family_check(
+            d.config, [d.parts[i].vertices for i in dist])
+        conflicting = conflicts == pairs
         g = conflict_graph(d)
         cl = clique_index(g, budget=500_000)
         chrom = exact_chromatic_index(g, budget=200_000)
@@ -121,10 +125,8 @@ def criterion_thm3():
             center = tuple(map(Fraction, d.metadata["fan_center"]))
             pts = d.config.points
             cover = validate_decomposition(d)["valid"]
-            disjoint = all(
-                len(set(d.parts[i].vertices) & set(d.parts[j].vertices)) <= 1
-                for i, j in combinations(dist, 2)
-            )
+            disjoint, conflicts, pairs = _family_check(
+                d.config, [d.parts[i].vertices for i in dist])
             inside = 0
             for pi in dist:
                 tri = [v for v in d.parts[pi].vertices if v not in strip]
@@ -132,12 +134,6 @@ def criterion_thm3():
                     center, pts[tri[0]], pts[tri[1]], pts[tri[2]]
                 ):
                     inside += 1
-            pairs = len(dist) * (len(dist) - 1) // 2
-            conflicts = sum(
-                1
-                for i, j in combinations(dist, 2)
-                if parts_conflict(d.config, d.parts[i].vertices, d.parts[j].vertices)
-            )
             ok = (
                 len(dist) == 2 * q * q and cover and disjoint
                 and inside == len(dist) and conflicts == pairs
@@ -156,7 +152,7 @@ def criterion_thm32():
     coloring violations, and a box-1 rotation-0 class of 6 triangles."""
     t0 = time.perf_counter()
     table = difference_triples(4)
-    design = cyclic_sts(73, table)
+    design = cyclic_sts(table)
     design_ok = validate_design(design)["valid"] and len(design.blocks) == 876
     dec, col = thm32_construction(4)
     cover = validate_decomposition(dec)["valid"]
@@ -276,8 +272,8 @@ def _brute_force_palette(g: ConflictGraph) -> int:
     raise AssertionError("unreachable")
 
 
-def criterion_stack(instances: int = 200):
-    """Coloring stack soundness on random small instances: the greedy
+def criterion_stack():
+    """Coloring stack soundness on 200 random small instances: the greedy
     coloring is proper, clique lower bound <= exact value <= greedy palette,
     and exact matches brute force."""
     t0 = time.perf_counter()
@@ -285,7 +281,7 @@ def criterion_stack(instances: int = 200):
     passed = True
     worst = None
     checked = 0
-    for _ in range(instances):
+    for _ in range(200):
         n = rng.randint(4, 8)
         d = _random_instance(rng, n)
         g = conflict_graph(d)
@@ -333,17 +329,12 @@ def criterion_searches():
     t0 = time.perf_counter()
     cfg6 = convex_configuration(6)
     tri = max_intersecting_family(cfg6, 3)
-    tri_cert = all(
-        len(set(a) & set(b)) <= 1
-        and parts_conflict(cfg6, a, b)
-        for a, b in combinations(tri.family, 2)
-    )
+    disjoint, conflicts, pairs = _family_check(cfg6, tri.family)
+    tri_cert = disjoint and conflicts == pairs
     cfg5 = convex_configuration(5)
     edg = max_intersecting_family(cfg5, 2)
-    edg_cert = all(
-        parts_conflict(cfg5, a, b)
-        for a, b in combinations(edg.family, 2)
-    )
+    disjoint, conflicts, pairs = _family_check(cfg5, edg.family)
+    edg_cert = disjoint and conflicts == pairs
     passed = tri.exact and edg.exact and tri_cert and edg_cert
     return _report(9, "section4-searches", passed, {
         "triangles_n6": {"found": len(tri.family), "exact": tri.exact,

@@ -6,6 +6,7 @@ import pytest
 
 from geochroma.exactgeom import (
     InputError,
+    Point,
     boxes_apart,
     convex_configuration,
     convex_cross,
@@ -373,6 +374,25 @@ def test_tau_point_fan_center():
     assert res.count == 4  # meets the n^2/9 = 4 reference bound
     with pytest.raises(InputError):
         tau_point(cfg, (cfg.points[0].x, cfg.points[0].y))
+
+
+def test_tau_point_agrees_on_points_int_pairs_and_fraction_pairs():
+    cfg = generate_general_position(7, bound=40, seed=2)
+    pts = cfg.points
+    probes = [(x, y) for x in range(-40, 41, 8) for y in range(-40, 41, 16)]
+    vertices = {(v.x, v.y) for v in pts}
+    probes = [xy for xy in probes if xy not in vertices]
+    seen = set()
+    for x, y in probes:
+        want = tau_point(cfg, (x, y))
+        assert tau_point(cfg, Point(x, y)) == want
+        assert tau_point(cfg, (Fraction(x), Fraction(y))) == want
+        seen.add(want.count)
+    assert len(seen) > 1
+    for v in pts[:3]:
+        for p in (v, (v.x, v.y), (Fraction(v.x), Fraction(v.y))):
+            with pytest.raises(InputError, match="vertex"):
+                tau_point(cfg, p)
 
 
 def test_searches_on_complete_graph_past_recursion_limit():

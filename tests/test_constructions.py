@@ -307,6 +307,33 @@ def test_thm32_sweep_even_k_4_to_30():
         "2bf6a71b06c309a73613455e5cb559d8de981b233cdfbb0bf42068d9a6bcdbe3")
 
 
+def test_thm3_sweep_supported_q_to_13_seeds_1_to_3():
+    # every supported q up to 13 on three seeds: 2q^2 K4s, exact cover,
+    # pairwise edge-disjoint and conflicting, the fan center inside every
+    # X/Y triangle; all outputs pinned
+    digest = hashlib.sha256()
+    for q in (3, 4, 5, 7, 8, 9, 11, 13):
+        for seed in (1, 2, 3):
+            fam = thm3_construction(q, seed=seed)
+            d = fam.decomposition
+            dist = [d.parts[i].vertices for i in fam.distinguished]
+            assert len(dist) == 2 * q * q and all(len(vs) == 4 for vs in dist), (q, seed)
+            assert validate_decomposition(d)["valid"], (q, seed)
+            for a, b in combinations(dist, 2):
+                assert len(set(a) & set(b)) <= 1, (q, seed, a, b)
+                assert parts_conflict(d.config, a, b), (q, seed, a, b)
+            strip = set(d.metadata["strip"])
+            center = tuple(map(Fraction, d.metadata["fan_center"]))
+            pts = d.config.points
+            for vs in dist:
+                tri = [pts[v] for v in vs if v not in strip]
+                assert len(tri) == 3 and point_in_triangle(center, *tri), (q, seed, vs)
+            data = decomposition_to_dict(d)
+            digest.update(json.dumps(data, sort_keys=True, separators=(",", ":")).encode())
+    assert digest.hexdigest() == (
+        "9599a9119bc8396f430bdfdf7795f38f605a2a29d02de2f65dd160e40a54e761")
+
+
 def test_thm5_deterministic():
     cfg = generate_general_position(90, seed=5)
     a = thm5_construction(cfg)

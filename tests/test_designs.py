@@ -195,7 +195,7 @@ def test_difference_triples_rejects_small_or_odd(k):
 
 def test_cyclic_sts_k4():
     table = difference_triples(4)
-    design = cyclic_sts(73, table)
+    design = cyclic_sts(table)
     assert len(design.blocks) == 73 * 72 // 6 == 876
     assert validate_design(design)["valid"]
     shifted = {tuple(sorted((v + 1) % 73 for v in b)) for b in design.blocks}
@@ -206,14 +206,7 @@ def test_cyclic_sts_k4():
 def test_cyclic_sts_lists_blocks_in_orbit_order(k):
     table = difference_triples(k)
     n = table.n
-    design = cyclic_sts(n, table)
+    design = cyclic_sts(table)
     for i, (d1, d2, _) in enumerate(table.triples()):
         for s in range(n):
             assert design.blocks[i * n + s] == orbit_block(n, s, d1, d2)
-
-
-def test_cyclic_sts_wrong_n():
-    table = difference_triples(4)
-    with pytest.raises(InputError):
-        cyclic_sts(75, table)
-

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -46,6 +47,86 @@ def test_proper_cross_examples():
     assert not proper_cross(Point(0, 0), Point(2, 0), Point(0, 2), Point(2, 2))
     # shared endpoint is not a crossing
     assert not proper_cross(Point(0, 0), Point(2, 0), Point(2, 0), Point(2, 2))
+
+
+def _orient_before_point_pairs(p, q, r):
+    # orient as it read before points were (x, y) pairs, kept as an oracle
+    def _xy(p):
+        if isinstance(p, Point):
+            return p.x, p.y
+        return p[0], p[1]
+
+    px, py = _xy(p)
+    qx, qy = _xy(q)
+    rx, ry = _xy(r)
+    d = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    if d > 0:
+        return 1
+    if d < 0:
+        return -1
+    return 0
+
+
+def _proper_cross_with_endpoint_tests(a, b, c, d):
+    # proper_cross as it read with its four endpoint-equality tests, kept as
+    # an oracle: a shared endpoint must still give False without them
+    orient = _orient_before_point_pairs
+    if a == c or a == d or b == c or b == d:
+        return False
+    o1 = orient(a, b, c)
+    o2 = orient(a, b, d)
+    if o1 == o2 or o1 == 0 or o2 == 0:
+        return False
+    o3 = orient(c, d, a)
+    o4 = orient(c, d, b)
+    return o3 != o4 and o3 != 0 and o4 != 0
+
+
+def test_proper_cross_matches_endpoint_test_oracle_on_a_grid():
+    # every quadruple of a 4x3 grid: repeated points, shared endpoints and
+    # collinear triples are all common
+    grid = [Point(x, y) for x in range(4) for y in range(3)]
+    crossings = 0
+    for a, b, c, d in product(grid, repeat=4):
+        want = _proper_cross_with_endpoint_tests(a, b, c, d)
+        assert proper_cross(a, b, c, d) == want, (a, b, c, d)
+        crossings += want
+    assert crossings > 0
+
+
+def test_point_is_an_xy_pair():
+    coords = [(x, y) for x in (-3, 0, 2, 2**40) for y in (5, -1, 0, 2)]
+    for x, y in coords:
+        p = Point(x, y)
+        assert p == (x, y) and tuple(p) == (x, y) and (p.x, p.y) == (x, y)
+        assert hash(p) == hash((x, y))
+    shuffled = coords[5:] + coords[:5]
+    assert [tuple(p) for p in sorted(Point(x, y) for x, y in shuffled)] == sorted(shuffled)
+
+
+def test_predicates_agree_on_points_int_pairs_and_fraction_pairs():
+    grid = [(x, y) for x in range(-1, 3) for y in range(-1, 2)]
+
+    def forms(xy):
+        x, y = xy
+        return Point(x, y), (x, y), (Fraction(x), Fraction(y))
+
+    for p, q, r in combinations(grid, 3):
+        want = _orient_before_point_pairs(p, q, r)
+        for form in zip(forms(p), forms(q), forms(r)):
+            assert orient(*form) == want
+    a, b, c = Point(0, 0), Point(6, 0), Point(0, 6)
+    probes = [(x, y) for x in range(-1, 8) for y in range(-1, 8)]
+    probes += [(Fraction(1, 3), Fraction(1, 2)), (Fraction(3), Fraction(3)),
+               (Fraction(-1, 7), Fraction(2))]
+    for closed in (False, True):
+        for xy in probes:
+            want = point_in_triangle(xy, a, b, c, closed=closed)
+            assert point_in_triangle(Point(*xy), a, b, c, closed=closed) == want
+            assert point_in_triangle(tuple(map(Fraction, xy)), a, b, c, closed=closed) == want
+            s = [_orient_before_point_pairs(xy, u, v) for u, v in ((a, b), (b, c), (c, a))]
+            assert want == (min(s) >= 0 or max(s) <= 0 if closed else
+                            s[0] == s[1] == s[2] != 0)
 
 
 def test_proper_cross_symmetric_and_shear_invariant():
