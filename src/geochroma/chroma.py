@@ -451,8 +451,10 @@ def bound_evaluators(n: int, variant: str, c=0, x=None) -> BoundValue:
 
 # --- exhaustive searches ---------------------------------------------------------------
 
-def _edge_disjoint(a, b) -> bool:
-    """Parts of at most three vertices share an edge iff they share two vertices."""
+def edge_disjoint(a, b) -> bool:
+    """True iff two parts, given as vertex tuples, share no edge.  A part is
+    complete on its vertices, so two parts share an edge iff they share two
+    vertices, at any size."""
     return len(set(a).intersection(b)) < 2
 
 
@@ -467,7 +469,7 @@ def max_intersecting_family(config: Configuration, k: int, budget: int = 2_000_0
     if k not in (2, 3):
         raise InputError("part size must be 2 or 3")
     cands = list(combinations(range(config.n), k))
-    g = _graph(cands, lambda a, b: _edge_disjoint(a, b) and parts_conflict(config, a, b))
+    g = _graph(cands, lambda a, b: edge_disjoint(a, b) and parts_conflict(config, a, b))
     res = clique_index(g, budget=budget)
     return FamilyResult([cands[i] for i in res.members], res.exact)
 
@@ -492,5 +494,5 @@ def tau_point(config: Configuration, p, budget: int = 500_000) -> TauResult:
         for tri in combinations(range(config.n), 3)
         if point_in_triangle(p, pts[tri[0]], pts[tri[1]], pts[tri[2]], closed=True)
     ]
-    res = clique_index(_graph(cands, _edge_disjoint), budget=budget)
+    res = clique_index(_graph(cands, edge_disjoint), budget=budget)
     return TauResult(res.size, res.exact)

@@ -8,13 +8,18 @@
     geochroma render dec.json --out dec.svg --color 0
     geochroma experiment all
 
+Each `build` construction takes only the flags it reads, and a flag that
+would change nothing is a usage error: `gen --convex` with --seed or
+--bound, `color --mode greedy` with --budget, `render --no-singletons` with
+--color, `render --color` on a file with no coloring, and thm5's --seed
+beside --config.
+
 Exit codes: 0 success; 1 validation failed; 2 an InputError (a bad argument,
-a malformed file, an unsupported order or an exhausted partition search) or
-an OSError, reported as one `error:` line on stderr.  Any other exception is
-a bug and shows its traceback.  Every command honors --seed and produces
-byte-identical outputs for identical inputs; a run manifest (command,
-parameters, seed, version, timing, output digests) is written next to each
---out file.
+a malformed file, an unsupported order or an exhausted partition search),
+a usage error, or an OSError, reported as one `error:` line on stderr.  Any
+other exception is a bug and shows its traceback.  Identical inputs give
+byte-identical outputs; a run manifest (command, parameters, seed, version,
+timing, output digests) is written next to each --out file.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .experiments import SUITES, run_suites
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
+EXACT_BUDGET = 2_000_000  # search nodes for `color --mode exact` without --budget
 
 
 def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
@@ -74,74 +80,62 @@ def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
 
 def cmd_gen(args) -> int:
     t0 = time.perf_counter()
+    seed = bound = None
     if args.convex:
+        if args.seed is not None or args.bound is not None:
+            raise InputError("gen --convex draws no points; it takes no --seed or --bound")
         config = convex_configuration(args.n)
     else:
-        config = generate_general_position(args.n, bound=args.bound, seed=args.seed)
+        seed = args.seed or 0
+        bound = GEN_BOUND if args.bound is None else args.bound
+        config = generate_general_position(args.n, bound=bound, seed=seed)
     if args.out:
         save_config(config, args.out)
         _write_manifest(args.out, "gen", {"n": args.n, "mode": config.mode,
-                                          "bound": args.bound}, args.seed, t0)
+                                          "bound": bound}, seed, t0)
         print(f"wrote {args.out} ({config.mode}, n={config.n})")
     else:
         print(json.dumps(config_to_dict(config), sort_keys=True))
     return 0
 
 
-def _build_config(args, need_mode):
-    """The configuration from --config, or from -n: generated points when
-    need_mode is "coordinates", else the convex n-gon."""
-    if args.config:
-        if args.n is not None:
-            raise InputError("give -n or --config, not both")
-        cfg = load_config(args.config)
-        if need_mode is not None and cfg.mode != need_mode:
-            raise InputError(f"{args.construction} needs a {need_mode} configuration")
-        return cfg
-    if args.n is None:
-        raise InputError("provide -n or --config")
-    if need_mode == "coordinates":
-        return generate_general_position(args.n, seed=args.seed)
-    return convex_configuration(args.n)
-
-
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
     coloring = None
     name = args.construction
-    if args.config and name in ("thm4", "thm32"):
-        raise InputError(f"{name} builds its own convex configuration; it takes no --config")
-    if name == "edges":
-        cfg = _build_config(args, None)  # a --config file of either mode; -n is convex
+    seed = getattr(args, "seed", None)  # thm3 and thm5 only
+    if name == "edges":  # a --config file of either mode; -n is the convex n-gon
+        cfg = load_config(args.config) if args.config else convex_configuration(args.n)
         decomp = trivial_edge_decomposition(cfg)
     elif name == "thm4":
-        if args.n is None:
-            raise InputError("thm4 needs -n (multiple of 3)")
         decomp, coloring = thm4_construction(args.n)
-    elif name == "thm3":
+    elif name == "thm32":
+        decomp, coloring = thm32_construction(args.k)
+    elif name == "thm5":
+        if args.config:
+            if seed is not None:
+                raise InputError("thm5 --seed seeds -n points; with --config it changes nothing")
+            cfg = load_config(args.config)
+        else:
+            seed = seed or 0
+            cfg = generate_general_position(args.n, seed=seed)
+        decomp, coloring = thm5_construction(cfg)
+    else:  # thm3: q from -q, or the largest that fits the -n or --config points
         cfg = None
-        if args.n is not None or args.config:
-            cfg = _build_config(args, "coordinates")
+        if args.config:
+            cfg = load_config(args.config)
+        elif args.n is not None:
+            cfg = generate_general_position(args.n, seed=seed)
         q = args.q
         if q is None:
             if cfg is None:
                 raise InputError("thm3 needs -q, or -n/--config to derive it")
             q = largest_thm3_q(cfg.n)
-        decomp, coloring = thm3_construction(q, config=cfg, seed=args.seed)
-    elif name == "thm5":
-        cfg = _build_config(args, "coordinates")
-        decomp, coloring = thm5_construction(cfg)
-    elif name == "thm32":
-        if args.k is None:
-            raise InputError("thm32 needs -k (even, >= 4)")
-        decomp, coloring = thm32_construction(args.k)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown construction {name}")
+        decomp, coloring = thm3_construction(q, config=cfg, seed=seed)
     out = args.out or f"{name}.json"
     save_decomposition(decomp, out, coloring=coloring)
     _write_manifest(out, f"build {name}",
-                    {k: getattr(args, k) for k in ("n", "q", "k")},
-                    args.seed, t0)
+                    {k: getattr(args, k, None) for k in ("n", "q", "k")}, seed, t0)
     stats = decomp.metadata
     extra = f", colors={coloring.palette}" if coloring else ""
     print(f"wrote {out} (parts={len(decomp.parts)}{extra})")
@@ -154,13 +148,21 @@ def cmd_build(args) -> int:
 
 def cmd_color(args) -> int:
     t0 = time.perf_counter()
+    budget = args.budget
+    if args.mode == "greedy":
+        if budget is not None:
+            raise InputError("color --mode greedy runs no search; it takes no --budget")
+    elif budget is None:
+        budget = EXACT_BUDGET
+    elif budget < 0:
+        raise InputError(f"--budget must be >= 0, got {budget}")
     decomp, _ = load_decomposition(args.file)
     g = conflict_graph(decomp)
     if args.mode == "greedy":
         coloring = greedy_color(g)
         print(f"greedy palette: {coloring.palette}")
     else:
-        res = exact_chromatic_index(g, budget=args.budget)
+        res = exact_chromatic_index(g, budget=budget)
         coloring = res.coloring
         flag = "exact" if res.optimal else "bounds-only"
         print(f"chromatic index: [{res.lower}, {res.upper}] ({flag})")
@@ -170,7 +172,7 @@ def cmd_color(args) -> int:
         return VALIDATION_ERROR
     out = args.out or args.file
     save_decomposition(decomp, out, coloring=coloring)
-    _write_manifest(out, f"color {args.mode}", {"budget": args.budget}, None, t0)
+    _write_manifest(out, f"color {args.mode}", {"budget": budget}, None, t0)
     print(f"wrote {out}")
     return 0
 
@@ -220,6 +222,8 @@ def cmd_stats(args) -> int:
 def cmd_render(args) -> int:
     t0 = time.perf_counter()
     decomp, coloring = load_decomposition(args.file)
+    if args.color is not None and coloring is None:
+        raise InputError(f"{args.file} has no coloring; --color selects a color class")
     svg = render_svg(
         decomp,
         coloring=coloring,
@@ -249,8 +253,15 @@ def cmd_experiment(args) -> int:
     return 0 if result["pass"] else VALIDATION_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as InputError, so main reports it as one line."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="geochroma",
         description="decompositions and colorings of complete geometric graphs",
     )
@@ -259,25 +270,38 @@ def _parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a configuration file")
     g.add_argument("-n", type=int, required=True)
     g.add_argument("--convex", action="store_true")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--bound", type=int, default=GEN_BOUND)
+    g.add_argument("--seed", type=int, help="default 0; not with --convex")
+    g.add_argument("--bound", type=int, help=f"default {GEN_BOUND}; not with --convex")
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
 
     b = sub.add_parser("build", help="build a decomposition")
-    b.add_argument("construction", choices=("edges", "thm3", "thm4", "thm5", "thm32"))
-    b.add_argument("-n", type=int)
-    b.add_argument("-q", type=int)
-    b.add_argument("-k", type=int)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--config", help="input configuration file")
-    b.add_argument("--out")
     b.set_defaults(func=cmd_build)
+    families = b.add_subparsers(dest="construction", required=True)
+    fam = {name: families.add_parser(name, help=text) for name, text in (
+        ("edges", "one singleton part per edge"),
+        ("thm3", "2q^2 edge-disjoint pairwise-crossing K4s on >= 7q+6 points"),
+        ("thm4", "(n/3)^2 pairwise-crossing triangles on the convex n-gon"),
+        ("thm5", "recursive triangle decomposition of points, colored"),
+        ("thm32", "colored triangle decomposition of the convex (18k+1)-gon"),
+    )}
+    for name in ("edges", "thm3", "thm5"):  # thm3 may take -q alone
+        points = fam[name].add_mutually_exclusive_group(required=name != "thm3")
+        points.add_argument("-n", type=int, help="convex n-gon (edges) or generated points")
+        points.add_argument("--config", help="input configuration file")
+    fam["thm3"].add_argument("-q", type=int, help="plane order; default the largest that fits")
+    fam["thm3"].add_argument("--seed", type=int, default=0)
+    fam["thm4"].add_argument("-n", type=int, required=True, help="a multiple of 3")
+    fam["thm5"].add_argument("--seed", type=int, help="default 0; not with --config")
+    fam["thm32"].add_argument("-k", type=int, required=True, help="even, >= 4")
+    for f in fam.values():
+        f.add_argument("--out")
 
     c = sub.add_parser("color", help="color a decomposition file")
     c.add_argument("file")
     c.add_argument("--mode", choices=("greedy", "exact"), default="greedy")
-    c.add_argument("--budget", type=int, default=2_000_000)
+    c.add_argument("--budget", type=int,
+                   help=f"search nodes, default {EXACT_BUDGET}; exact mode only")
     c.add_argument("--out")
     c.set_defaults(func=cmd_color)
 
@@ -292,8 +316,9 @@ def _parser() -> argparse.ArgumentParser:
     r = sub.add_parser("render", help="render a decomposition to SVG")
     r.add_argument("file")
     r.add_argument("--out")
-    r.add_argument("--color", type=int, help="draw only this color class")
-    r.add_argument("--no-singletons", action="store_true")
+    drawn = r.add_mutually_exclusive_group()
+    drawn.add_argument("--color", type=int, help="draw only this color class")
+    drawn.add_argument("--no-singletons", action="store_true")
     r.set_defaults(func=cmd_render)
 
     e = sub.add_parser("experiment", help="run acceptance suites")
@@ -304,9 +329,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _parser()
-    args = ap.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

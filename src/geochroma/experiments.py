@@ -36,6 +36,7 @@ from .chroma import (
     bound_evaluators,
     clique_index,
     conflict_graph,
+    edge_disjoint,
     exact_chromatic_index,
     greedy_color,
     max_intersecting_family,
@@ -55,10 +56,9 @@ def _report(num, name, passed, details, t0):
 
 
 def _family_check(config, parts):
-    """(edge-disjoint, conflicting pairs, pairs) for a family of vertex tuples:
-    it is edge-disjoint iff every two parts share at most one vertex."""
+    """(edge-disjoint, conflicting pairs, pairs) for a family of vertex tuples."""
     pairs = list(combinations(parts, 2))
-    disjoint = all(len(set(a) & set(b)) <= 1 for a, b in pairs)
+    disjoint = all(edge_disjoint(a, b) for a, b in pairs)
     conflicts = sum(1 for a, b in pairs if parts_conflict(config, a, b))
     return disjoint, conflicts, len(pairs)
 

@@ -513,16 +513,16 @@ def nine_regions(config: Configuration, q: int, base: RegionAssignment | None = 
     gmax = max(abs(gx * p.x + gy * p.y) for p in pts)
     N = 2 * gmax + 2
 
+    def key(v):
+        # N|f3| + g orders as (|f3|, g), since N > 2 gmax; a part's sgn*f3 is |f3|
+        p = pts[v]
+        return N * abs(l3.value(p)) + gx * p.x + gy * p.y
+
     subcuts = []
     lower: list[list[int]] = []
     upper: list[list[int]] = []
-    keys = {}
     for i in range(6):
         sgn = 1 if i < 3 else -1
-
-        def key(v):
-            return N * sgn * l3.value(pts[v]) + gx * pts[v].x + gy * pts[v].y
-
         ranked = sorted(S[i], key=key)
         Ri, Rrest = ranked[:q], ranked[q:]
         k1 = key(Ri[-1])
@@ -536,13 +536,11 @@ def nine_regions(config: Configuration, q: int, base: RegionAssignment | None = 
         subcuts.append(cut)
         lower.append(Ri)
         upper.append(Rrest)
-        for v in S[i]:
-            keys[v] = (abs(l3.value(pts[v])), gx * pts[v].x + gy * pts[v].y, v)
 
     regions = [sorted(r) for r in lower]
     spill = []
     for strip in range(3):
-        pool = sorted(upper[strip] + upper[strip + 3], key=lambda v: keys[v])
+        pool = sorted(upper[strip] + upper[strip + 3], key=lambda v: (key(v), v))
         regions.append(sorted(pool[:q]))
         spill.extend(pool[q:])
     cuts = base.cuts + subcuts

@@ -436,3 +436,80 @@ def test_loaders_fuzz(tmp_path, capsys):
         assert code != 2 or (err.startswith("error: ") and err.count("\n") == 1)
 
     check()
+
+
+# flags that would change nothing, and one malformed value: each is a usage
+# error.  {dec} is an uncolored thm4 file, {col} a colored thm32 file, {pts}
+# a generated point set.
+_UNREAD = {
+    # a flag another construction reads
+    "edges-q": ["build", "edges", "-n", "5", "-q", "3"],
+    "edges-k": ["build", "edges", "-n", "5", "-k", "4"],
+    "edges-seed": ["build", "edges", "-n", "5", "--seed", "5"],
+    "thm3-k": ["build", "thm3", "-q", "3", "-k", "4"],
+    "thm4-q": ["build", "thm4", "-n", "9", "-q", "3"],
+    "thm4-k": ["build", "thm4", "-n", "9", "-k", "4"],
+    "thm4-seed": ["build", "thm4", "-n", "9", "--seed", "5"],
+    "thm5-q": ["build", "thm5", "-n", "20", "-q", "3"],
+    "thm5-k": ["build", "thm5", "-n", "20", "-k", "4"],
+    "thm32-n": ["build", "thm32", "-k", "4", "-n", "99"],
+    "thm32-q": ["build", "thm32", "-k", "4", "-q", "7"],
+    "thm32-seed": ["build", "thm32", "-k", "4", "--seed", "5"],
+    # a flag the rest of the command leaves unread
+    "thm5-seed-and-config": ["build", "thm5", "--config", "{pts}", "--seed", "5"],
+    "gen-convex-seed": ["gen", "-n", "9", "--convex", "--seed", "3"],
+    "gen-convex-bound": ["gen", "-n", "9", "--convex", "--bound", "50"],
+    "color-greedy-budget": ["color", "{dec}", "--mode", "greedy", "--budget", "10"],
+    "render-color-no-singletons": ["render", "{col}", "--color", "0", "--no-singletons"],
+    "render-color-uncolored": ["render", "{dec}", "--color", "0"],
+    # a malformed value
+    "color-negative-budget": ["color", "{dec}", "--mode", "exact", "--budget", "-5"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_UNREAD.values()), ids=list(_UNREAD))
+def test_unread_flags_exit_2(tmp_path, capsys, argv):
+    files = {"dec": tmp_path / "dec.json", "col": tmp_path / "col.json",
+             "pts": tmp_path / "pts.json"}
+    assert main(["build", "thm4", "-n", "9", "--out", str(files["dec"])]) == 0
+    assert main(["build", "thm32", "-k", "4", "--out", str(files["col"])]) == 0
+    assert main(["gen", "-n", "20", "--seed", "1", "--out", str(files["pts"])]) == 0
+    before = sorted(tmp_path.iterdir())
+    stamps = [p.stat().st_mtime_ns for p in before]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main([a.format(**files) for a in argv] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before  # no output, no manifest
+    assert [p.stat().st_mtime_ns for p in before] == stamps
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "thm9", "-n", "9"],
+    ["color"],
+    ["gen", "-n", "x"],
+    ["build"],
+    ["frobnicate"],
+    ["build", "thm32", "-k", "4", "--unknown"],
+], ids=["bad-choice", "missing-file", "non-int", "no-construction", "no-command",
+        "unknown-flag"])
+def test_argparse_errors_are_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_render_no_singletons(tmp_path):
+    # thm4 on 9 points: 9 triangles and 9 singleton edges
+    dec = tmp_path / "t4.json"
+    assert main(["build", "thm4", "-n", "9", "--out", str(dec)]) == 0
+    every, bare = tmp_path / "every.svg", tmp_path / "bare.svg"
+    assert main(["render", str(dec), "--out", str(every)]) == 0
+    assert main(["render", str(dec), "--out", str(bare), "--no-singletons"]) == 0
+    every, bare = every.read_text(), bare.read_text()
+    assert (every.count("<polygon"), every.count("<line")) == (9, 9)
+    assert (bare.count("<polygon"), bare.count("<line")) == (9, 0)
+    assert "parts=18 drawn=9<" in bare
