@@ -63,8 +63,11 @@ EXACT_BUDGET = 2_000_000  # search nodes for `color --mode exact` without --budg
 
 
 def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
+    sha = hashlib.sha256()
     with open(out_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time
+            sha.update(chunk)
+    digest = sha.hexdigest()
     manifest = {
         "command": command,
         "parameters": params,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from operator import ge
 from typing import NamedTuple
 
 from .exactgeom import (
@@ -53,18 +54,20 @@ from .designs import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Part:
-    """A vertex subset of size >= 2; induced, hence complete."""
+    """A vertex subset of size >= 2, as a strictly increasing tuple; induced,
+    hence complete.  Slotted: a part holds its two fields and no __dict__."""
 
     vertices: tuple[int, ...]
     tag: str = "part"
 
     def __post_init__(self):
-        if len(self.vertices) < 2:
-            raise InputError(f"part too small: {self.vertices}")
-        if tuple(sorted(set(self.vertices))) != self.vertices:
-            raise InputError(f"part not sorted/distinct: {self.vertices}")
+        v = self.vertices
+        if len(v) < 2:
+            raise InputError(f"part too small: {v}")
+        if not isinstance(v, tuple) or any(map(ge, v, v[1:])):
+            raise InputError(f"part not sorted/distinct: {v}")
 
     def edges(self):
         return part_edges(self.vertices)
@@ -476,16 +479,24 @@ def decomposition_to_dict(d: Decomposition, coloring=None) -> dict:
     return out
 
 
+_PARTS_SHAPE = '"parts" must be a list of {"vertices": [...]} objects'
+_INT = frozenset({int})
+
+
 def _ints_below(values: list, hi: int) -> bool:
     """True iff every value is an int in [0, hi)."""
-    return (set(map(type, values)) <= {int}
+    return (_INT.issuperset(map(type, values))
             and min(values, default=0) >= 0 and max(values, default=-1) < hi)
 
 
 def decomposition_from_dict(data: dict):
     """Inverse of decomposition_to_dict; InputError on a malformed file.
-    Color ids must be below the number of parts, as every coloring this
-    package writes uses ids 0..palette-1 and its palette is at most that."""
+
+    One pass over the parts checks each one's vertices (ints, at least two,
+    strictly increasing, in [0, n)) and tag (a string; equal tags share one
+    string).  Color ids must be below the number of parts, as every coloring
+    this package writes uses ids 0..palette-1 and its palette is at most
+    that."""
     if not isinstance(data, dict) or "config" not in data or "parts" not in data:
         raise InputError('decomposition needs "config" and "parts"')
     metadata = data.get("metadata", {})
@@ -493,13 +504,24 @@ def decomposition_from_dict(data: dict):
         raise InputError('"metadata" must be an object')
     config = config_from_dict(data["config"])
     raw = data["parts"]
-    if not isinstance(raw, list) or not all(
-        isinstance(p, dict) and isinstance(p.get("vertices"), list) for p in raw
-    ):
-        raise InputError('"parts" must be a list of {"vertices": [...]} objects')
-    if not _ints_below(list(chain.from_iterable(p["vertices"] for p in raw)), config.n):
-        raise InputError(f"part vertices must be ints in [0, {config.n})")
-    parts = [Part(vertices=tuple(p["vertices"]), tag=p.get("tag", "part")) for p in raw]
+    if not isinstance(raw, list):
+        raise InputError(_PARTS_SHAPE)
+    n = config.n
+    tags: dict[str, str] = {}
+    parts = []
+    for p in raw:
+        verts = p.get("vertices") if isinstance(p, dict) else None
+        if not isinstance(verts, list):
+            raise InputError(_PARTS_SHAPE)
+        tag = p.get("tag", "part")
+        if not isinstance(tag, str):
+            raise InputError(f"part tag must be a string, got {type(tag).__name__}")
+        if not _INT.issuperset(map(type, verts)):
+            raise InputError(f"part vertices must be ints in [0, {n})")
+        part = Part(vertices=tuple(verts), tag=tags.setdefault(tag, tag))
+        if part.vertices[0] < 0 or part.vertices[-1] >= n:
+            raise InputError(f"part vertices must be ints in [0, {n})")
+        parts.append(part)
     d = Decomposition(config=config, parts=parts, metadata=metadata)
     coloring = None
     cols = data.get("coloring")

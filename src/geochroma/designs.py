@@ -11,9 +11,10 @@ exhaustively in tests.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
+from operator import eq
 
 from .exactgeom import InputError
 
@@ -214,21 +215,45 @@ def validate_design(d: BlockDesign) -> dict:
     """Pair-coverage report: a 2-design iff 'uncovered_count' is 0 and the
     'repeated' list is empty.
 
-    The uncovered pairs of K_n are counted, not listed: 'uncovered' holds only
-    the first UNCOVERED_LISTED of them in lexicographic order, drawn from a
-    lazy scan, so a report on a nearly empty design stays small whatever its n.
+    Each pair u < v a block covers is kept as the integer code u*n + v in one
+    list, sorted once, so a repeated pair sits next to its copies and the
+    codes run in lexicographic pair order; a Python int serves every n.
+    'repeated' lists each pair covered more than once, in the order of its
+    first block.  The uncovered pairs are counted, not listed: 'uncovered'
+    holds only the first UNCOVERED_LISTED of them in lexicographic order,
+    from a walk that stops there, so a report on a nearly empty design stays
+    small whatever its n.  A block that is not a set of distinct points of
+    0..n-1 raises InputError, as its codes would name other pairs.
     """
-    cover = Counter(pair for blk in d.blocks for pair in combinations(sorted(blk), 2))
-    covered = sum(1 for u, v in cover if 0 <= u < v < d.n)
-    uncovered_count = d.n * (d.n - 1) // 2 - covered
+    n = d.n
+    points = chain.from_iterable
+    if (sum(map(len, map(set, d.blocks))) != sum(map(len, d.blocks))
+            or min(points(d.blocks), default=0) < 0 or max(points(d.blocks), default=-1) >= n):
+        raise InputError(f"every block must be a set of distinct points in 0..{n - 1}")
+    codes = [u * n + v for blk in d.blocks for u, v in combinations(sorted(blk), 2)]
+    codes.sort()
+    repeats = sum(map(eq, codes, islice(codes, 1, None)))
+    uncovered_count = n * (n - 1) // 2 - (len(codes) - repeats)
     uncovered = []
     if uncovered_count:
-        n = d.n
-        missing = ((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in cover)
+        missing = ((u, v) for u in range(n) for v in range(u + 1, n)
+                   if not _in_sorted(codes, u * n + v))
         uncovered = list(islice(missing, min(uncovered_count, UNCOVERED_LISTED)))
-    repeated = [pair for pair, c in cover.items() if c > 1]
+    repeated = []
+    if repeats:
+        twice = {a for a, b in zip(codes, islice(codes, 1, None)) if a == b}
+        for blk in d.blocks:
+            for u, v in combinations(sorted(blk), 2):
+                if u * n + v in twice:  # its first block: list it once
+                    twice.remove(u * n + v)
+                    repeated.append((u, v))
     return {"uncovered": uncovered, "uncovered_count": uncovered_count,
             "repeated": repeated, "valid": not uncovered_count and not repeated}
+
+
+def _in_sorted(values: list, x) -> bool:
+    i = bisect_left(values, x)
+    return i < len(values) and values[i] == x
 
 
 _STS9_CLASSES = (

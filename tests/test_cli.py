@@ -67,6 +67,33 @@ def test_elapsed_times_ignore_wall_clock_steps(tmp_path, monkeypatch):
     assert criterion_sts9()["elapsed_s"] >= 0
 
 
+def test_manifest_digest_reads_the_output_in_chunks(tmp_path):
+    import hashlib
+
+    from geochroma.cli import _write_manifest
+
+    out = tmp_path / "big.bin"
+    data = os.urandom(5 << 19)  # 2.5 MiB: two whole chunks and a half
+    out.write_bytes(data)
+    _write_manifest(str(out), "test", {}, None, 0.0)
+    manifest = json.loads((tmp_path / "big.bin.manifest.json").read_text())
+    assert manifest["outputs"] == {"big.bin": hashlib.sha256(data).hexdigest()}
+
+
+@pytest.mark.parametrize("cmd", ["verify", "stats", "render", "color"])
+@pytest.mark.parametrize("tag", [[1], 7, None, {"a": 1}], ids=["list", "int", "null", "object"])
+def test_part_tag_must_be_a_string(tmp_path, capsys, cmd, tag):
+    path = tmp_path / "tag.json"
+    parts = [{"vertices": [0, 1], "tag": tag}, {"vertices": [0, 2]}, {"vertices": [1, 2]}]
+    path.write_text(json.dumps({"config": {"mode": "convex", "n": 3}, "parts": parts}))
+    before = path.read_bytes()
+    assert main([cmd, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: part tag must be a string, got {type(tag).__name__}\n"
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tag.json"]
+
+
 def test_gen_convex(tmp_path):
     out = tmp_path / "conv.json"
     assert main(["gen", "-n", "9", "--convex", "--out", str(out)]) == 0

@@ -36,9 +36,26 @@ from geochroma.chroma import triangle_census, verify_coloring
 def test_part_invariants():
     with pytest.raises(InputError):
         Part(vertices=(3,))
-    with pytest.raises(InputError):
-        Part(vertices=(3, 1))
+    for verts in ((3, 1), (1, 1, 3), (0, 2, 1), [1, 3]):
+        with pytest.raises(InputError, match="not sorted/distinct"):
+            Part(vertices=verts)
     assert Part(vertices=(1, 3)).edges() == [(1, 3)]
+
+
+def test_part_is_a_slotted_frozen_record():
+    part = Part(vertices=(0, 2, 5), tag="triangle")
+    assert not hasattr(part, "__dict__")
+    with pytest.raises(AttributeError):
+        part.tag = "other"
+    assert part == Part(vertices=(0, 2, 5), tag="triangle")
+    assert hash(part) == hash(Part(vertices=(0, 2, 5), tag="triangle"))
+
+
+def test_loaded_parts_share_equal_tags():
+    d = thm32_construction(4).decomposition
+    again, _ = decomposition_from_dict(json.loads(json.dumps(decomposition_to_dict(d))))
+    assert again.parts == d.parts
+    assert len({id(p.tag) for p in again.parts}) == 1
 
 
 def test_trivial_edges():

@@ -1,8 +1,12 @@
-from itertools import combinations
+import random
+import tracemalloc
+from collections import Counter
+from itertools import combinations, islice
 
 import pytest
 
 from geochroma.designs import (
+    UNCOVERED_LISTED,
     BlockDesign,
     FiniteField,
     cyclic_sts,
@@ -155,6 +159,80 @@ def test_validate_design_reports_deletion():
     rep = validate_design(broken)
     assert not rep["valid"]
     assert len(rep["uncovered"]) == 3  # each block covers three pairs
+
+
+def _validate_design_counter(d: BlockDesign) -> dict:
+    """The oracle: validate_design as it was, with a Counter of tuple pairs."""
+    cover = Counter(pair for blk in d.blocks for pair in combinations(sorted(blk), 2))
+    covered = sum(1 for u, v in cover if 0 <= u < v < d.n)
+    uncovered_count = d.n * (d.n - 1) // 2 - covered
+    uncovered = []
+    if uncovered_count:
+        n = d.n
+        missing = ((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in cover)
+        uncovered = list(islice(missing, min(uncovered_count, UNCOVERED_LISTED)))
+    repeated = [pair for pair, c in cover.items() if c > 1]
+    return {"uncovered": uncovered, "uncovered_count": uncovered_count,
+            "repeated": repeated, "valid": not uncovered_count and not repeated}
+
+
+def _random_design(seed: int) -> BlockDesign:
+    # unsorted blocks of 2..6 points, then copies of some blocks and some
+    # pairs already covered, so pairs repeat in many orders
+    rng = random.Random(seed)
+    n = rng.randint(2, 70)
+    blocks = [tuple(rng.sample(range(n), rng.randint(2, min(6, n))))
+              for _ in range(rng.randint(0, 3 * n))]
+    for _ in range(rng.randint(0, 5)):
+        if blocks:
+            blk = list(rng.choice(blocks))
+            rng.shuffle(blk)
+            blocks.insert(rng.randint(0, len(blocks)), tuple(blk))
+            blocks.append(tuple(rng.sample(blk, 2)))
+    return BlockDesign(n=n, blocks=tuple(blocks))
+
+
+_THM32_K4 = cyclic_sts(difference_triples(4))
+_HUGE = 2**63 + 5
+
+
+@pytest.mark.parametrize("design", [
+    *(pytest.param(_random_design(seed), id=f"random-{seed}") for seed in range(60)),
+    *(pytest.param(BlockDesign(n=n, blocks=()), id=f"empty-{n}") for n in range(41)),
+    pytest.param(BlockDesign(n=2000, blocks=()), id="empty-2000"),
+    pytest.param(BlockDesign(n=9, blocks=tuple(b[::-1] for b in sts9()[0].blocks)),
+                 id="sts9-reversed"),
+    pytest.param(_THM32_K4, id="thm32-k4"),
+    pytest.param(BlockDesign(n=73, blocks=_THM32_K4.blocks[5:] + _THM32_K4.blocks[:40:3]),
+                 id="thm32-k4-moved"),
+    pytest.param(BlockDesign(n=_HUGE, blocks=((0, 1),)), id="one-part-past-ssize_t"),
+    pytest.param(BlockDesign(n=_HUGE, blocks=((_HUGE - 1, 3), (0, 2), (3, _HUGE - 1))),
+                 id="huge-vertices-past-ssize_t"),
+])
+def test_validate_design_equals_the_counter_oracle(design):
+    assert validate_design(design) == _validate_design_counter(design)
+
+
+@pytest.mark.parametrize("blocks", [((0, 4),), ((-1, 2),), ((1, 2), (3, 1, 3))],
+                         ids=["above-n", "negative", "repeated-point"])
+def test_validate_design_rejects_a_block_that_is_not_a_point_set(blocks):
+    with pytest.raises(InputError, match=r"^every block must be a set of distinct points in 0\.\.3$"):
+        validate_design(BlockDesign(n=4, blocks=blocks))
+
+
+def test_validate_design_memory_per_covered_pair():
+    # pair codes in one sorted list of ints take about 44 bytes a pair; a
+    # Counter keyed by tuple pairs took about 85
+    design = cyclic_sts(difference_triples(16))
+    pairs = 3 * len(design.blocks)
+    assert pairs == 41_616
+    tracemalloc.start()
+    try:
+        validate_design(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * pairs
 
 
 def test_difference_triples_k4_rows():
