@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Sequence
 
 COORD_BOUND = 1 << 30  # accepted coordinate magnitude for loaded configurations
@@ -363,12 +364,16 @@ JSON_SLICE = 256
 def write_json(data: dict, path) -> None:
     """Write data as the data files store it: one line of compact JSON with
     sorted keys: json.dumps(data, sort_keys=True, separators=(",", ":")) and a
-    newline.
+    newline.  A top-level value may also be an iterator, written as the list
+    of its items.
 
     json.dumps encodes in C, several times faster than json.dump's Python
     encoder, but holds the whole text in memory.  So each top-level value is
-    encoded on its own, and a list value in slices of JSON_SLICE items: the
-    text held at once stays small however many parts a file has.
+    encoded on its own, and a list or iterator value in slices of JSON_SLICE
+    items: the text held at once stays small however many parts a file has.
+    An iterator's items are built on demand, one slice at a time, so a caller
+    that maps its records to dicts lazily (as save_decomposition does) never
+    holds every dict at once.
     """
     def dumps(obj):
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -378,13 +383,14 @@ def write_json(data: dict, path) -> None:
         for n, key in enumerate(sorted(data)):
             fh.write(("," if n else "") + dumps(key) + ":")
             value = data[key]
-            if not isinstance(value, list):
+            if not isinstance(value, (list, Iterator)):
                 fh.write(dumps(value))
                 continue
             fh.write("[")
-            for start in range(0, len(value), JSON_SLICE):
-                chunk = dumps(value[start:start + JSON_SLICE])[1:-1]
-                fh.write(("," if start else "") + chunk)
+            items, sep = iter(value), ""
+            while chunk := list(islice(items, JSON_SLICE)):
+                fh.write(sep + dumps(chunk)[1:-1])
+                sep = ","
             fh.write("]")
         fh.write("}\n")
 
@@ -393,12 +399,18 @@ def save_config(config: Configuration, path) -> None:
     write_json(config_to_dict(config), path)
 
 
-def read_json(path):
+def read_json(path, object_hook=None):
     """The JSON value stored in the file at path.  A file that does not
-    decode, or nests too deeply for the decoder, raises InputError."""
+    decode, or nests too deeply for the decoder, raises InputError.
+
+    object_hook is json.load's: it is called on each object as soon as the
+    decoder finishes it, and its result takes the object's place, so a caller
+    can turn records into compact values as the decoder reaches them instead
+    of holding the whole decoded tree (load_decomposition does so for its
+    parts)."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
         except RecursionError:
             raise InputError(f"{path}: JSON nested too deeply") from None
         except ValueError as exc:

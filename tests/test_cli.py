@@ -386,6 +386,72 @@ def test_malformed_decomposition_exits_2(tmp_path, capsys, kind):
     assert (tmp_path / "bad.json").read_bytes() == before  # never overwritten
 
 
+# one fault each in a colored K4 file whose parts are written as `build`
+# writes them, "tag" first: (path of the edited value, new value, message).
+# The messages are those of the loader that decoded the whole tree first.
+_DELETE = object()
+_SHAPE = 'error: "parts" must be a list of {"vertices": [...]} objects'
+_RANGE = "error: part vertices must be ints in [0, 4)"
+_COLORING = 'error: "coloring" must list one color id in [0, 6) per part'
+_SINGLE_FAULTS = {
+    "parts-not-list": (("parts",), {"tag": "edge", "vertices": [0, 1]}, _SHAPE),
+    "part-not-dict": (("parts", 2), [0, 3], _SHAPE),
+    "no-vertices": (("parts", 2, "vertices"), _DELETE, _SHAPE),
+    "tag-not-str": (("parts", 2, "tag"), 5, "error: part tag must be a string, got int"),
+    "float-vertex": (("parts", 2, "vertices"), [0, 3.0], _RANGE),
+    "bool-vertex": (("parts", 2, "vertices"), [False, 3], _RANGE),
+    "one-vertex": (("parts", 2, "vertices"), [3], "error: part too small: (3,)"),
+    "unsorted": (("parts", 2, "vertices"), [3, 0], "error: part not sorted/distinct: (3, 0)"),
+    "repeated": (("parts", 2, "vertices"), [3, 3], "error: part not sorted/distinct: (3, 3)"),
+    "negative-vertex": (("parts", 2, "vertices"), [-1, 3], _RANGE),
+    "vertex-n": (("parts", 2, "vertices"), [0, 4], _RANGE),
+    "coloring-length": (("coloring",), [0, 1, 2, 3, 4], _COLORING),
+    "color-range": (("coloring", 1), 6, _COLORING),
+    "metadata-not-object": (("metadata",), ["edges"], 'error: "metadata" must be an object'),
+}
+# top-level key orders: sorted, as written, and "parts" before "config"
+_LAYOUTS = {"config-first": ("coloring", "config", "metadata", "parts"),
+            "parts-first": ("parts", "metadata", "config", "coloring")}
+
+
+def _k4_doc():
+    parts = [{"tag": "edge", "vertices": [a, b]} for a, b in combinations(range(4), 2)]
+    return {"config": {"mode": "convex", "n": 4}, "parts": parts,
+            "metadata": {"construction": "edges"}, "coloring": list(range(6))}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("fault", list(_SINGLE_FAULTS))
+def test_single_fault_messages(tmp_path, capsys, fault, layout):
+    keys, value, message = _SINGLE_FAULTS[fault]
+    doc = _k4_doc()
+    *path, last = keys
+    holder = doc
+    for key in path:
+        holder = holder[key]
+    if value is _DELETE:
+        del holder[last]
+    else:
+        holder[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: doc[key] for key in _LAYOUTS[layout]}))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_layouts_load_alike(tmp_path, capsys):
+    loaded = []
+    for layout, order in _LAYOUTS.items():
+        path = tmp_path / f"{layout}.json"
+        doc = _k4_doc()
+        path.write_text(json.dumps({key: doc[key] for key in order}))
+        assert main(["verify", str(path)]) == 0
+        loaded.append(load_decomposition(path))
+    assert loaded[0] == loaded[1]
+    assert [p.vertices for p in loaded[0][0].parts] == list(combinations(range(4), 2))
+
+
 def test_planecut_error_exits_2(tmp_path, capsys, monkeypatch):
     from geochroma import cli
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import pickle
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -23,6 +25,8 @@ from geochroma.constructions import (
     Part,
     decomposition_from_dict,
     decomposition_to_dict,
+    load_decomposition,
+    save_decomposition,
     thm3_construction,
     thm4_construction,
     thm5_construction,
@@ -49,6 +53,17 @@ def test_part_is_a_slotted_frozen_record():
         part.tag = "other"
     assert part == Part(vertices=(0, 2, 5), tag="triangle")
     assert hash(part) == hash(Part(vertices=(0, 2, 5), tag="triangle"))
+    # the written-out __init__ keeps the generated one's interface
+    with pytest.raises(AttributeError):
+        part.vertices = (0, 1)
+    assert part == Part((0, 2, 5), "triangle") != Part((0, 2, 5))
+    assert Part((0, 2)).tag == "part" and Part((0, 2)).edges() == [(0, 2)]
+    assert replace(part, tag="t") == Part((0, 2, 5), "t")
+    assert pickle.loads(pickle.dumps(part)) == part
+    with pytest.raises(InputError, match=r"^part too small: \[3\]$"):
+        Part([3])
+    with pytest.raises(InputError, match=r"^part not sorted/distinct: \[1, 3\]$"):
+        Part([1, 3])
 
 
 def test_loaded_parts_share_equal_tags():
@@ -378,3 +393,89 @@ def test_decomposition_json_round_trip_coordinates():
     assert col2 is None
     assert dec2.parts == fam.decomposition.parts
     assert dec2.config == fam.decomposition.config
+
+
+def _holds_part(value) -> bool:
+    """True iff a Part sits anywhere in value, a decoded JSON value."""
+    todo = [value]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Part):
+            return True
+        if isinstance(node, dict):
+            todo.extend(node.values())
+        elif isinstance(node, list):
+            todo.extend(node)
+    return False
+
+
+# metadata values shaped like parts, which the loader's object hook also sees
+_PART_SHAPED = [
+    {"vertices": [0, 1]},
+    {"vertices": [1, 0], "tag": 5},
+    {"vertices": [0, 1], "tag": "x"},  # saved exactly as a part is
+    {"vertices": [0, 999], "tag": "far"},  # a part but for its range
+    [{"tag": "x", "vertices": [2, 3]}, {"deep": {"vertices": [0, 1, 2], "tag": "t"}}],
+]
+
+
+def test_part_shaped_metadata_loads_back_equal(tmp_path):
+    dec, col = thm5_construction(generate_general_position(90, seed=5))
+    levels = json.loads(json.dumps(dec.metadata["levels"]))
+    levels[0]["shaped"] = _PART_SHAPED
+    shaped = {f"shaped{i}": v for i, v in enumerate(_PART_SHAPED)}
+    path = tmp_path / "dec.json"
+    # the whole metadata may be shaped like a part, too
+    for meta in ({**dec.metadata, **shaped, "levels": levels}, {"tag": "t", "vertices": [0, 1]}):
+        save_decomposition(replace(dec, metadata=meta), path, coloring=col)
+        again, col2 = load_decomposition(path)
+        assert again.metadata == meta and not _holds_part(again.metadata)
+        assert again.parts == dec.parts and col2 == col
+
+
+_TAGGED = {"tag": "x", "vertices": [0, 1]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_TAGGED, 'decomposition needs "config" and "parts"'),
+    ({"config": _TAGGED, "parts": []}, "unknown configuration mode None"),
+    ({"config": {"mode": "convex", "n": 3}, "parts": _TAGGED},
+     '"parts" must be a list of {"vertices": [...]} objects'),
+    ({"config": {"mode": "convex", "n": 3}, "parts": [{"tag": _TAGGED, "vertices": [0, 1]}]},
+     "part tag must be a string, got dict"),
+    ({"config": {"mode": "convex", "n": 3}, "parts": [_TAGGED], "coloring": _TAGGED},
+     '"coloring" must list one color id in [0, 1) per part'),
+], ids=["file", "config", "parts", "tag", "coloring"])
+def test_part_shaped_values_fail_as_decoded(tmp_path, doc, message):
+    # a value the object hook turned into a Part is checked as the object it
+    # was decoded from, so the message is the decoded-tree loader's
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for load, arg in ((load_decomposition, path), (decomposition_from_dict, doc)):
+        with pytest.raises(InputError) as exc:
+            load(arg)
+        assert str(exc.value) == message
+
+
+def test_json_io_peak_memory_per_part(tmp_path):
+    # load_decomposition makes each Part as the decoder finishes its object and
+    # save_decomposition encodes the parts a slice at a time, so neither holds
+    # a dict per part.  tracemalloc peaks on thm32 k=16 (13,872 parts, CPython
+    # 3.11): load 211 bytes per part (the loaded Parts, coloring and file text
+    # included), save 24 (mostly the coloring list); the decoded-tree loader
+    # and the whole-list encoder peaked at 508 and 299.  The bounds allow 30 %
+    # over the load peak and 3x over the save peak, whose base is small.
+    dec, col = thm32_construction(16)
+    path = tmp_path / "k16.json"
+    save_decomposition(dec, path, coloring=col)
+    m = len(dec.parts)
+    for name, run, bound in (("load", lambda: load_decomposition(path), 275),
+                             ("save", lambda: save_decomposition(dec, path, coloring=col), 72)):
+        tracemalloc.start()
+        try:
+            result = run()  # kept until the peak is read: a load's Parts count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del result
+        assert peak / m < bound, (name, peak / m)

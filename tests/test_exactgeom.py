@@ -270,7 +270,11 @@ def test_config_json_round_trip():
 def test_write_json_matches_dumps(tmp_path, data):
     path = tmp_path / "out.json"
     write_json(data, path)
-    assert path.read_text() == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_text() == text
+    # an iterator value is written as the list of its items
+    write_json({k: iter(v) if isinstance(v, list) else v for k, v in data.items()}, path)
+    assert path.read_text() == text
 
 
 def test_point_in_triangle_closed_vs_open():

@@ -15,7 +15,10 @@ from geochroma.chroma import conflict_graph, greedy_color, verify_coloring
 from geochroma.cli import main
 from geochroma.constructions import (
     Coloring,
+    decomposition_to_dict,
     load_decomposition,
+    save_decomposition,
+    thm3_construction,
     thm4_construction,
     thm5_construction,
     thm32_construction,
@@ -27,6 +30,7 @@ from geochroma.exactgeom import (
     convex_configuration,
     coordinate_configuration,
     generate_general_position,
+    write_json,
 )
 from geochroma.planecut import nine_regions, six_fan, six_parts_two_parallel
 
@@ -65,6 +69,49 @@ def test_build_output_digest(tmp_path, args, digest):
     out = tmp_path / "out.json"
     assert main(["build", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _thm5_n90():
+    return thm5_construction(generate_general_position(90, seed=5))
+
+
+def _thm32_k4():
+    return thm32_construction(4)
+
+
+@pytest.mark.parametrize("make,colored,digest", [
+    pytest.param(lambda: (trivial_edge_decomposition(convex_configuration(7)), None), False,
+                 "e565bab3c0d03f513b665bc01bf8eab6baccdd5cd1de1b26d584e5c49a5b1aed",
+                 id="edges-n7"),
+    pytest.param(lambda: thm3_construction(3, seed=1), False,  # 261 parts: two slices
+                 "9b2750dc2eabf2bcbffbaea4c2ccdba7320328a8ee42432b1e113edf52165c62",
+                 id="thm3-q3"),
+    pytest.param(lambda: thm4_construction(12), False,
+                 "359ef17a765d5b3b20172ef45a81581b5f4ea0b4acac38f8791576517a353f22",
+                 id="thm4-n12"),
+    pytest.param(_thm5_n90, False,
+                 "ac072e718b6e3b756f44e9949d4442ce815f0c300d106aaaa4fcb333431bb83c",
+                 id="thm5-n90"),
+    pytest.param(_thm5_n90, True,
+                 "027730f486317c3f5166f8251bae2b7bb0a886d70d2d972540f06f14c0b017ef",
+                 id="thm5-n90-colored"),
+    pytest.param(_thm32_k4, False,
+                 "48ec1edc99e9a1f25c77e400d865839510f7d8cfb810a110e663dd68a42b1f1e",
+                 id="thm32-k4"),
+    pytest.param(_thm32_k4, True,
+                 "475f5baa5cb4175117d00246e283bf1580d8f51a32b9ab81588539f1e290918a",
+                 id="thm32-k4-colored"),
+])
+def test_save_writes_the_dict_encoding(tmp_path, make, colored, digest):
+    # save_decomposition encodes the parts a slice at a time; the bytes are
+    # those of write_json on the whole decomposition_to_dict document
+    dec, col = make()
+    col = col if colored else None
+    saved, whole = tmp_path / "saved.json", tmp_path / "whole.json"
+    save_decomposition(dec, saved, coloring=col)
+    write_json(decomposition_to_dict(dec, col), whole)
+    assert hashlib.sha256(saved.read_bytes()).hexdigest() == digest
+    assert whole.read_bytes() == saved.read_bytes()
 
 
 def test_thm5_digest_at_coordinate_bound(tmp_path):
