@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import hashlib
 import json
 import os
 import sys
@@ -63,6 +62,8 @@ EXACT_BUDGET = 2_000_000  # search nodes for `color --mode exact` without --budg
 
 
 def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
+    import hashlib  # here, not at the top: OpenSSL costs `verify` and `stats` 3.6 MB RSS
+
     sha = hashlib.sha256()
     with open(out_path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time

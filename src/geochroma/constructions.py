@@ -13,6 +13,7 @@ part covers into a singleton part; every family returns a Construction.
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
@@ -43,15 +44,14 @@ from .planecut import (
     six_parts_two_parallel,
 )
 from .designs import (
-    BlockDesign,
     cyclic_sts,
     difference_triples,
     orbit_block,
+    pair_cover_report,
     pencil_transversals,
     plane_order_supported,
     projective_plane,
     sts9,
-    validate_design,
 )
 
 
@@ -122,13 +122,16 @@ class Construction(NamedTuple):
 
 
 def validate_decomposition(d: Decomposition) -> dict:
-    """Exact-cover report: every edge of K_n in exactly one part."""
+    """Exact-cover report: every edge of K_n in exactly one part.
+
+    A Part's vertices are strictly increasing, so once each part is checked
+    to lie in 0..n-1 the parts go straight to the pair count."""
     n = d.config.n
     for part in d.parts:
         if part.vertices[-1] >= n or part.vertices[0] < 0:
             return {"uncovered": [], "uncovered_count": 0, "repeated": [], "valid": False,
                     "error": f"part {part.vertices} out of range"}
-    return validate_design(BlockDesign(n, tuple(p.vertices for p in d.parts)))
+    return pair_cover_report(n, [p.vertices for p in d.parts])
 
 
 def _finalize(config, raw_parts, metadata, colors=None) -> Construction:
@@ -302,7 +305,8 @@ def thm32_construction(k: int) -> Construction:
                     f"box {box}: triples {triples[ta]} and {triples[tb]} conflict when placed"
                 )
 
-    colors = [(table.rows[t // 3].box - 1) * n + (s - a) % n
+    color = list(range(n * (k // 2 + 1))).__getitem__  # one int object per color id
+    colors = [color((table.rows[t // 3].box - 1) * n + (s - a) % n)
               for t, a in enumerate(anchors) for s in range(n)]
     raw = [Part(vertices=blk, tag="triangle") for blk in design.blocks]
     palette = max(colors) + 1
@@ -611,7 +615,31 @@ def save_decomposition(d: Decomposition, path, coloring=None) -> None:
     write_json(doc, path)
 
 
+class _SharedInts(dict):
+    """A json parse_int for one load, through __getitem__: the int of each
+    integer text, made once per distinct text, so every occurrence of a
+    vertex or color id in a file decodes to one shared int object."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
 def load_decomposition(path):
     """decomposition_from_dict of the file at path, with each part object
-    turned into its Part as soon as the decoder finishes it (_decode_part)."""
-    return decomposition_from_dict(_restore_parts(read_json(path, _decode_part)))
+    turned into its Part as soon as the decoder finishes it (_decode_part)
+    and equal integers sharing one int (_SharedInts, kept for this load).
+
+    The cyclic garbage collector is paused for the load, as what it builds
+    holds no reference cycles for it to find; the caller's setting is
+    restored however the load ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        data = read_json(path, _decode_part, _SharedInts().__getitem__)
+        return decomposition_from_dict(_restore_parts(data))
+    finally:
+        if enabled:
+            gc.enable()

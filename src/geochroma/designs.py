@@ -12,9 +12,10 @@ exhaustively in tests.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from operator import eq
+from operator import eq, ge
 
 from .exactgeom import InputError
 
@@ -215,43 +216,71 @@ def validate_design(d: BlockDesign) -> dict:
     """Pair-coverage report: a 2-design iff 'uncovered_count' is 0 and the
     'repeated' list is empty.
 
-    Each pair u < v a block covers is kept as the integer code u*n + v in one
-    list, sorted once, so a repeated pair sits next to its copies and the
-    codes run in lexicographic pair order; a Python int serves every n.
-    'repeated' lists each pair covered more than once, in the order of its
-    first block.  The uncovered pairs are counted, not listed: 'uncovered'
-    holds only the first UNCOVERED_LISTED of them in lexicographic order,
-    from a walk that stops there, so a report on a nearly empty design stays
-    small whatever its n.  A block that is not a set of distinct points of
-    0..n-1 raises InputError, as its codes would name other pairs.
+    A block that is not a set of distinct points of 0..n-1 raises
+    InputError.  Blocks already in increasing order are counted as they are;
+    otherwise each is counted in sorted order, from a sorted copy.  The
+    report is pair_cover_report's.
     """
     n = d.n
+    blocks = d.blocks
+    distinct = all(map(_increasing, blocks))
+    if not distinct:
+        blocks = [sorted(blk) for blk in blocks]
+        distinct = all(map(_increasing, blocks))
     points = chain.from_iterable
-    if (sum(map(len, map(set, d.blocks))) != sum(map(len, d.blocks))
-            or min(points(d.blocks), default=0) < 0 or max(points(d.blocks), default=-1) >= n):
+    if (not distinct or min(points(blocks), default=0) < 0
+            or max(points(blocks), default=-1) >= n):
         raise InputError(f"every block must be a set of distinct points in 0..{n - 1}")
-    codes = [u * n + v for blk in d.blocks for u, v in combinations(sorted(blk), 2)]
-    codes.sort()
-    repeats = sum(map(eq, codes, islice(codes, 1, None)))
-    uncovered_count = n * (n - 1) // 2 - (len(codes) - repeats)
+    return pair_cover_report(n, blocks)
+
+
+def _increasing(blk) -> bool:
+    return not any(map(ge, blk, islice(blk, 1, None)))
+
+
+def pair_cover_report(n: int, blocks) -> dict:
+    """validate_design's report on blocks that are each strictly increasing
+    and within 0..n-1, which the caller has checked.
+
+    Each vertex u gets one list of its later neighbours: for every block,
+    the points after u, the blocks' own int objects, so a covered pair costs
+    one list slot and no new int.  Each list is sorted once, so a pair
+    covered again sits next to its copies; the lists are keyed by a dict on
+    the vertex, so one rule serves every n.  'repeated' lists each pair
+    covered more than once, in the order of its first block.  The uncovered
+    pairs are counted, not listed: 'uncovered' holds only the first
+    UNCOVERED_LISTED of them in lexicographic order, from a walk that stops
+    there, so a report on a nearly empty design stays small whatever its n.
+    """
+    later: dict[int, list] = defaultdict(list)
+    for blk in blocks:
+        for i in range(1, len(blk)):
+            later[blk[i - 1]] += blk[i:]
+    covers = repeats = 0
+    for got in later.values():
+        got.sort()
+        covers += len(got)
+        repeats += sum(map(eq, got, islice(got, 1, None)))
+    uncovered_count = n * (n - 1) // 2 - (covers - repeats)
     uncovered = []
     if uncovered_count:
         missing = ((u, v) for u in range(n) for v in range(u + 1, n)
-                   if not _in_sorted(codes, u * n + v))
+                   if not _in_sorted(later.get(u, ()), v))
         uncovered = list(islice(missing, min(uncovered_count, UNCOVERED_LISTED)))
     repeated = []
     if repeats:
-        twice = {a for a, b in zip(codes, islice(codes, 1, None)) if a == b}
-        for blk in d.blocks:
-            for u, v in combinations(sorted(blk), 2):
-                if u * n + v in twice:  # its first block: list it once
-                    twice.remove(u * n + v)
-                    repeated.append((u, v))
+        twice = {(u, v) for u, got in later.items()
+                 for v, w in zip(got, islice(got, 1, None)) if v == w}
+        for blk in blocks:
+            for pair in combinations(blk, 2):
+                if pair in twice:  # its first block: list it once
+                    twice.remove(pair)
+                    repeated.append(pair)
     return {"uncovered": uncovered, "uncovered_count": uncovered_count,
             "repeated": repeated, "valid": not uncovered_count and not repeated}
 
 
-def _in_sorted(values: list, x) -> bool:
+def _in_sorted(values, x) -> bool:
     i = bisect_left(values, x)
     return i < len(values) and values[i] == x
 
@@ -389,9 +418,11 @@ def cyclic_sts(table: DifferenceTripleTable) -> BlockDesign:
 
     Block t*n + s is orbit_block(n, s, d1, d2) of the t-th triple of
     table.triples(); validate_design rejects an uncovered or repeated pair,
-    so a repeated block too."""
+    so a repeated block too.  The blocks share one int object per vertex id,
+    read from a table that lives for this call only."""
     n = table.n
-    blocks = tuple(orbit_block(n, s, d1, d2)
+    vertex = list(range(n)).__getitem__
+    blocks = tuple(tuple(map(vertex, orbit_block(n, s, d1, d2)))
                    for d1, d2, _ in table.triples() for s in range(n))
     design = BlockDesign(n=n, blocks=blocks)
     report = validate_design(design)

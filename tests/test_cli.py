@@ -43,6 +43,18 @@ def test_cli_import_does_not_load_numpy(tmp_path):
         assert _child(code).stdout.splitlines()[-1] == "0 False"
 
 
+def test_verify_and_stats_do_not_load_hashlib(tmp_path):
+    # only an --out command's manifest digest needs hashlib, and OpenSSL with it
+    out = _child("import sys, geochroma.cli; print('hashlib' in sys.modules)").stdout
+    assert out.strip() == "False"
+    dec = str(tmp_path / "dec.json")
+    assert main(["build", "thm32", "-k", "4", "--out", dec]) == 0
+    for command in ("verify", "stats"):
+        code = ("import sys; from geochroma.cli import main; "
+                f"rc = main([{command!r}, {dec!r}]); print(rc, 'hashlib' in sys.modules)")
+        assert _child(code).stdout.splitlines()[-1] == "0 False"
+
+
 def test_out_commands_close_their_files(tmp_path):
     # the manifest digest reads the output back; dev mode reports any file
     # left for the garbage collector to close

@@ -1,10 +1,11 @@
+import gc
 import hashlib
 import json
 import pickle
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from geochroma.exactgeom import (
     parts_conflict,
     point_in_triangle,
 )
+from geochroma import constructions
 from geochroma.constructions import (
     Coloring,
     Construction,
@@ -71,6 +73,59 @@ def test_loaded_parts_share_equal_tags():
     again, _ = decomposition_from_dict(json.loads(json.dumps(decomposition_to_dict(d))))
     assert again.parts == d.parts
     assert len({id(p.tag) for p in again.parts}) == 1
+
+
+def test_equal_ids_share_one_int_object(tmp_path):
+    # at k=16 the vertex ids reach 288 and the color ids 2600, past the ints
+    # CPython caches (-5..256), so sharing is the construction's and the loader's
+    built = thm32_construction(16)
+    path = tmp_path / "k16.json"
+    save_decomposition(built.decomposition, path, coloring=built.coloring)
+    for dec, col in (built, load_decomposition(path)):
+        vertices = list(chain.from_iterable(p.vertices for p in dec.parts))
+        for ids in (vertices, col.colors):
+            assert max(ids) > 256
+            first = {}
+            assert all(first.setdefault(v, v) is v for v in ids)
+
+
+def test_load_pauses_gc_and_restores_the_callers_setting(tmp_path, monkeypatch):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_decomposition(thm32_construction(4).decomposition, good)
+    bad.write_text('{"config": {"mode": "convex", "n": 3}, "parts": [{"vertices": [0, 5]}]}')
+    seen = []
+
+    def decode_part(obj):
+        seen.append(gc.isenabled())
+        return decode(obj)
+
+    decode = constructions._decode_part
+    monkeypatch.setattr(constructions, "_decode_part", decode_part)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert len(load_decomposition(good)[0].parts) == 876
+            assert gc.isenabled() is enabled
+            with pytest.raises(InputError, match=r"^part vertices must be ints in \[0, 3\)$"):
+                load_decomposition(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
+
+
+def test_validate_lists_repeats_in_first_block_order(tmp_path):
+    # parts out of lexicographic order, as a file may hold them: the repeated
+    # pairs come in the order of the part that first covers each
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps({"config": {"mode": "convex", "n": 6}, "parts": [
+        {"vertices": v} for v in ([3, 4, 5], [0, 1, 2], [2, 4], [4, 5], [1, 2, 3],
+                                  [0, 3], [2, 4])]}))
+    dec, _ = load_decomposition(path)
+    assert validate_decomposition(dec) == {
+        "uncovered": [(0, 4), (0, 5), (1, 4), (1, 5), (2, 5)], "uncovered_count": 5,
+        "repeated": [(4, 5), (1, 2), (2, 4)], "valid": False}
 
 
 def test_trivial_edges():

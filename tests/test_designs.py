@@ -213,6 +213,46 @@ def test_validate_design_equals_the_counter_oracle(design):
     assert validate_design(design) == _validate_design_counter(design)
 
 
+def _plane_with_repeats(q: int, seed: int) -> BlockDesign:
+    # the lines of PG(2, q), blocks of q + 1 points, in shuffled order, then
+    # two lines again (one reversed) and a block of a point from each of q + 1
+    # lines (two lines may give the same point): repeated pairs at many
+    # vertices, first covered in many blocks
+    rng = random.Random(seed)
+    lines = [tuple(sorted(line)) for line in projective_plane(q).line_points]
+    rng.shuffle(lines)
+    across = tuple(sorted({rng.choice(line) for line in lines[:q + 1]}))
+    blocks = lines[:5] + [lines[3][::-1]] + lines[5:] + [across, lines[-1]]
+    return BlockDesign(n=q * q + q + 1, blocks=tuple(blocks))
+
+
+def _mixed_sizes(seed: int) -> BlockDesign:
+    # blocks of 2, 4 and 9 points drawn at random from 20, so pairs repeat
+    rng = random.Random(seed)
+    blocks = [tuple(rng.sample(range(20), size)) for size in (2, 4, 9) * 6]
+    return BlockDesign(n=20, blocks=tuple(blocks))
+
+
+_K12_PAIRS = [(v, u) for u, v in combinations(range(12), 2)]
+random.Random(7).shuffle(_K12_PAIRS)
+
+
+@pytest.mark.parametrize("design", [
+    pytest.param(BlockDesign(n=12, blocks=tuple(
+        _K12_PAIRS[:20] + [(11, 0), (5, 6)] + _K12_PAIRS[20:] + [(3, 11), (7, 2), (6, 5)])),
+        id="pairs-of-k12-repeated"),
+    pytest.param(_plane_with_repeats(3, 1), id="lines-of-4-repeated"),
+    pytest.param(_plane_with_repeats(8, 2), id="lines-of-9-repeated"),
+    *(pytest.param(_mixed_sizes(seed), id=f"sizes-2-4-9-{seed}") for seed in range(4)),
+    pytest.param(BlockDesign(n=_HUGE, blocks=()), id="no-blocks-past-ssize_t"),
+])
+def test_per_vertex_count_equals_the_counter_oracle(design):
+    rep = validate_design(design)
+    assert rep == _validate_design_counter(design)
+    # every case with blocks repeats pairs first covered at several vertices
+    assert (len({u for u, _ in rep["repeated"]}) > 2) == bool(design.blocks)
+
+
 @pytest.mark.parametrize("blocks", [((0, 4),), ((-1, 2),), ((1, 2), (3, 1, 3))],
                          ids=["above-n", "negative", "repeated-point"])
 def test_validate_design_rejects_a_block_that_is_not_a_point_set(blocks):
@@ -221,8 +261,9 @@ def test_validate_design_rejects_a_block_that_is_not_a_point_set(blocks):
 
 
 def test_validate_design_memory_per_covered_pair():
-    # pair codes in one sorted list of ints take about 44 bytes a pair; a
-    # Counter keyed by tuple pairs took about 85
+    # a list per vertex of its later neighbours, the blocks' own ints, takes
+    # about 9 bytes a pair; pair codes u*n + v in one sorted list took about
+    # 44, and a Counter keyed by tuple pairs about 85
     design = cyclic_sts(difference_triples(16))
     pairs = 3 * len(design.blocks)
     assert pairs == 41_616
@@ -232,7 +273,7 @@ def test_validate_design_memory_per_covered_pair():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 60 * pairs
+    assert peak < 16 * pairs
 
 
 def test_difference_triples_k4_rows():
