@@ -1,12 +1,12 @@
 """Finite fields, projective planes, STS(9), and cyclic Steiner triple systems.
 
-Every supported GF(q) is table-driven: a prime field is the degree-1 case and
-a prime power uses a fixed table of irreducible polynomials (q <= 32).
-Desarguesian planes are built from homogeneous triples over GF(q), normalized
-so the first nonzero coordinate is 1, and each line's q+1 points are listed
-directly from its triple.  The one incidence table serves both ways, since the
-plane is self-dual in these coordinates; the plane axioms are checked
-exhaustively in tests.
+Every supported GF(q) is its four tables from field_tables: a prime field is
+the degree-1 case and a prime power uses a fixed table of irreducible
+polynomials (q <= 32).  Desarguesian planes are built from homogeneous
+triples over GF(q), normalized so the first nonzero coordinate is 1, and each
+line's q+1 points are listed directly from its triple, as a sorted tuple.  The
+one incidence table serves both ways, since the plane is self-dual in these
+coordinates; the plane axioms are checked exhaustively in tests.
 """
 
 from __future__ import annotations
@@ -38,65 +38,47 @@ def plane_order_supported(q: int) -> bool:
     return q >= 2 and (_smallest_prime_factor(q) == q or q in _IRREDUCIBLE)
 
 
-class FiniteField:
-    """GF(q) with add/neg/mul/inv tables; elements are integers 0..q-1.
+def field_tables(q: int) -> tuple[list, list, list, list]:
+    """GF(q) as its (add, neg, mul, inv) tables; elements are integers 0..q-1.
 
-    The integer encodes polynomial coefficients base p (little-endian),
-    reduced modulo a monic irreducible polynomial of degree e; a prime field
-    is the degree-1 case, reduced modulo x.
+    add[a][b], neg[a], mul[a][b] and inv[a] (inv[0] is 0) are the field's
+    operations.  The integer encodes polynomial coefficients base p
+    (little-endian), reduced modulo a monic irreducible polynomial of degree
+    e; a prime field is the degree-1 case, reduced modulo x.
     """
-
-    __slots__ = ("q", "add_table", "neg_table", "mul_table", "inv_table")
-
-    def __init__(self, q: int):
-        if not plane_order_supported(q):
-            raise InputError(
-                f"GF({q}) is not supported: q must be prime or one of "
-                f"{sorted(_IRREDUCIBLE)}"
-            )
-        p, poly = _IRREDUCIBLE.get(q, (q, (0, 1)))
-        top = q // p  # place value of the x^(e-1) digit
-        self.q = q
-        # digitwise sums mod p: above the lowest digit, a + b is the sum of
-        # a // p and b // p shifted up one place, read from an earlier row
-        add = [list(range(q))]
-        for a in range(1, q):
-            up = add[a // p]
-            add.append([up[b // p] * p + (a + b) % p for b in range(q)])
-        self.add_table = add
-        self.neg_table = [row.index(0) for row in add]
-        # x * c: shift c's digits up one place; the digit t pushed to x^e
-        # returns as t * (x^e mod poly), whose digits are -t * poly[:e]
-        carry = [sum((-t * k) % p * p**j for j, k in enumerate(poly[:-1])) for t in range(p)]
-        times_x = [add[c % top * p][carry[c // top]] for c in range(q)]
-        # Horner's rule over the multiplier's digits: a*b is x * (a*(b // p))
-        # when b's lowest digit is 0, else a*(b - 1) + a
-        self.mul_table = []
-        for a in range(q):
-            row = [0]
-            for b in range(1, q):
-                row.append(times_x[row[b // p]] if b % p == 0 else add[row[b - 1]][a])
-            self.mul_table.append(row)
-        self.inv_table = [0] * q
-        for a in range(1, q):
-            row = self.mul_table[a]
-            if 1 not in row:
-                raise AssertionError(f"element {a} has no inverse in GF({q})")
-            self.inv_table[a] = row.index(1)
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise InputError("zero has no inverse")
-        return self.inv_table[a]
+    if not plane_order_supported(q):
+        raise InputError(
+            f"GF({q}) is not supported: q must be prime or one of "
+            f"{sorted(_IRREDUCIBLE)}"
+        )
+    p, poly = _IRREDUCIBLE.get(q, (q, (0, 1)))
+    top = q // p  # place value of the x^(e-1) digit
+    # digitwise sums mod p: above the lowest digit, a + b is the sum of
+    # a // p and b // p shifted up one place, read from an earlier row
+    add = [list(range(q))]
+    for a in range(1, q):
+        up = add[a // p]
+        add.append([up[b // p] * p + (a + b) % p for b in range(q)])
+    neg = [row.index(0) for row in add]
+    # x * c: shift c's digits up one place; the digit t pushed to x^e
+    # returns as t * (x^e mod poly), whose digits are -t * poly[:e]
+    carry = [sum((-t * k) % p * p**j for j, k in enumerate(poly[:-1])) for t in range(p)]
+    times_x = [add[c % top * p][carry[c // top]] for c in range(q)]
+    # Horner's rule over the multiplier's digits: a*b is x * (a*(b // p))
+    # when b's lowest digit is 0, else a*(b - 1) + a
+    mul = []
+    for a in range(q):
+        row = [0]
+        for b in range(1, q):
+            row.append(times_x[row[b // p]] if b % p == 0 else add[row[b - 1]][a])
+        mul.append(row)
+    inv = [0] * q
+    for a in range(1, q):
+        row = mul[a]
+        if 1 not in row:
+            raise AssertionError(f"element {a} has no inverse in GF({q})")
+        inv[a] = row.index(1)
+    return add, neg, mul, inv
 
 
 def _smallest_prime_factor(m: int) -> int:
@@ -113,18 +95,15 @@ class ProjectivePlane:
     """Desarguesian plane of order q as a point/line incidence structure.
 
     Points and lines are both normalized homogeneous triples; index i names
-    point i and line i alike.  Point j lies on line i iff their triples are
-    orthogonal, a symmetric relation, so line_points[i] is also the set of
-    lines through point i: the one table serves both incidences.
+    point i and line i alike.  line_points[i] is the tuple of the points on
+    line i in increasing order, each id one int object shared by every line.
+    Point j lies on line i iff their triples are orthogonal, a symmetric
+    relation, so line_points[i] is also the sorted tuple of the lines through
+    point i: the one table serves both incidences.
     """
 
     q: int
-    points: tuple[tuple[int, int, int], ...]
-    line_points: tuple[frozenset, ...]
-
-    @property
-    def size(self) -> int:
-        return self.q * self.q + self.q + 1
+    line_points: tuple[tuple[int, ...], ...]
 
 
 def _normalized_triples(q: int):
@@ -142,12 +121,12 @@ def projective_plane(q: int) -> ProjectivePlane:
     Line i is the triple (a, b, c) of point i; its q+1 points, the solutions
     of a*x + b*y + c*z = 0, are listed directly as point indices.
     """
-    ff = FiniteField(q)
-    add, neg, mul, inv = ff.add_table, ff.neg_table, ff.mul_table, ff.inv_table
-    pts = _normalized_triples(q)
+    add, neg, mul, inv = field_tables(q)
     qq = q * q
+    point = list(range(qq + q + 1)).__getitem__
     line_points = []
-    for a, b, c in pts:
+    # each branch lists its members in increasing order
+    for a, b, c in _normalized_triples(q):
         if c:
             # z = -(a + b*y)/c for each y, and (0, 1, -b/c)
             r = neg[inv[c]]
@@ -161,18 +140,18 @@ def projective_plane(q: int) -> ProjectivePlane:
         else:
             # the line x = 0
             members = list(range(qq, qq + q + 1))
-        line_points.append(frozenset(members))
-    return ProjectivePlane(q=q, points=tuple(pts), line_points=tuple(line_points))
+        line_points.append(tuple(map(point, members)))
+    return ProjectivePlane(q=q, line_points=tuple(line_points))
 
 
 def pencil_through(plane: ProjectivePlane, z: int, m: int) -> list[list[int]]:
     """m lines through z, each returned with z removed (pairwise disjoint q-sets)."""
-    lines = sorted(plane.line_points[z])  # self-dual: the lines through point z
+    lines = plane.line_points[z]  # self-dual: the lines through point z, sorted
     if m > len(lines):
         raise InputError(
             f"only {len(lines)} lines pass through a point, requested {m}"
         )
-    return [sorted(plane.line_points[li] - {z}) for li in lines[:m]]
+    return [[pt for pt in plane.line_points[li] if pt != z] for li in lines[:m]]
 
 
 def pencil_transversals(plane: ProjectivePlane, m: int) -> list[tuple[int, ...]]:
@@ -185,7 +164,7 @@ def pencil_transversals(plane: ProjectivePlane, m: int) -> list[tuple[int, ...]]
     """
     pencil = pencil_through(plane, 0, m)
     where = {pt: (a, idx) for a, line in enumerate(pencil) for idx, pt in enumerate(line)}
-    through0 = plane.line_points[0]
+    through0 = set(plane.line_points[0])
     out = []
     for li, members in enumerate(plane.line_points):
         if li in through0:

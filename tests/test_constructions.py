@@ -16,6 +16,7 @@ from geochroma.exactgeom import (
     Point,
     convex_configuration,
     generate_general_position,
+    part_shape,
     parts_conflict,
     point_in_triangle,
 )
@@ -170,7 +171,7 @@ def test_star_parts_pairwise_conflict():
         assert parts_conflict(d.config, d.parts[i].vertices, d.parts[j].vertices)
 
 
-@pytest.mark.parametrize("n", (9, 12, 15, 18))
+@pytest.mark.parametrize("n", range(6, 100, 3))
 def test_thm4_family(n):
     fam = thm4_construction(n)
     d = fam.decomposition
@@ -178,9 +179,9 @@ def test_thm4_family(n):
     assert len(fam.distinguished) == want
     assert d.metadata["distinguished_triangles"] == want
     assert validate_decomposition(d)["valid"]
-    for i, j in combinations(fam.distinguished, 2):
-        a, b = d.parts[i].vertices, d.parts[j].vertices
-        assert len(set(a) & set(b)) <= 1
+    shapes = [part_shape(d.config, d.parts[i].vertices) for i in fam.distinguished]
+    for a, b in combinations(shapes, 2):
+        assert len(a.vertices & b.vertices) <= 1
         assert parts_conflict(d.config, a, b)
 
 

@@ -8,9 +8,9 @@ import pytest
 from geochroma.designs import (
     UNCOVERED_LISTED,
     BlockDesign,
-    FiniteField,
     cyclic_sts,
     difference_triples,
+    field_tables,
     orbit_block,
     pencil_through,
     pencil_transversals,
@@ -24,46 +24,46 @@ from geochroma.exactgeom import InputError
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32))
 def test_field_axioms_exhaustive(q):
-    ff = FiniteField(q)
+    add, neg, mul, inv = field_tables(q)
     els = range(q)
     for a in els:
-        assert ff.add(a, 0) == a
-        assert ff.mul(a, 1) == a
-        assert ff.add(a, ff.neg(a)) == 0
+        assert add[a][0] == a
+        assert mul[a][1] == a
+        assert add[a][neg[a]] == 0
         if a:
-            assert ff.mul(a, ff.inv(a)) == 1
+            assert mul[a][inv[a]] == 1
     for a in els:
         for b in els:
-            assert ff.add(a, b) == ff.add(b, a)
-            assert ff.mul(a, b) == ff.mul(b, a)
+            assert add[a][b] == add[b][a]
+            assert mul[a][b] == mul[b][a]
             for c in els:
-                assert ff.add(ff.add(a, b), c) == ff.add(a, ff.add(b, c))
-                assert ff.mul(ff.mul(a, b), c) == ff.mul(a, ff.mul(b, c))
-                assert ff.mul(a, ff.add(b, c)) == ff.add(ff.mul(a, b), ff.mul(a, c))
+                assert add[add[a][b]][c] == add[a][add[b][c]]
+                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 def test_field_rejects_non_prime_power():
     with pytest.raises(InputError):
-        FiniteField(6)
+        field_tables(6)
 
 
 def test_plane_counts():
     p2 = projective_plane(2)
-    assert p2.size == 7 and all(len(l) == 3 for l in p2.line_points)
+    assert len(p2.line_points) == 7 and all(len(l) == 3 for l in p2.line_points)
     p3 = projective_plane(3)
-    assert p3.size == 13 and all(len(l) == 4 for l in p3.line_points)
+    assert len(p3.line_points) == 13 and all(len(l) == 4 for l in p3.line_points)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
 def test_plane_axioms_exhaustive(q):
     plane = projective_plane(q)
-    n = plane.size
+    n = len(plane.line_points)
     point_lines = [{li for li, members in enumerate(plane.line_points) if pj in members}
                    for pj in range(n)]
     assert all(len(l) == q + 1 for l in plane.line_points)
     assert all(len(l) == q + 1 for l in point_lines)
     for l1, l2 in combinations(range(n), 2):
-        assert len(plane.line_points[l1] & plane.line_points[l2]) == 1
+        assert len(set(plane.line_points[l1]) & set(plane.line_points[l2])) == 1
     for p1, p2 in combinations(range(n), 2):
         assert len(point_lines[p1] & point_lines[p2]) == 1
 
@@ -73,30 +73,58 @@ def test_plane_matches_brute_force_incidence(q):
     plane = projective_plane(q)
     pts = [(1, y, z) for y in range(q) for z in range(q)]
     pts += [(0, 1, z) for z in range(q)] + [(0, 0, 1)]
-    assert list(plane.points) == pts
     if all(q % d for d in range(2, q)):
         def on(line, pt):
             return sum(u * v for u, v in zip(line, pt)) % q == 0
     else:
-        ff = FiniteField(q)
+        add, _, mul, _ = field_tables(q)
 
         def on(line, pt):
             (a, b, c), (x, y, z) = line, pt
-            return ff.add(ff.add(ff.mul(a, x), ff.mul(b, y)), ff.mul(c, z)) == 0
+            return add[add[mul[a][x]][mul[b][y]]][mul[c][z]] == 0
     for li, line in enumerate(pts):
-        expected = {pj for pj, pt in enumerate(pts) if on(line, pt)}
+        expected = tuple(pj for pj, pt in enumerate(pts) if on(line, pt))
         assert plane.line_points[li] == expected, line
-    # self-duality: line_points[j] is also the set of lines through point j
+    # self-duality: line_points[j] is also the sorted tuple of lines through point j
     for pj in range(len(pts)):
-        assert plane.line_points[pj] == {
+        assert plane.line_points[pj] == tuple(
             li for li, members in enumerate(plane.line_points) if pj in members
-        }
+        )
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 8, 9, 16))
+def test_plane_lines_strictly_increasing(q):
+    for line in projective_plane(q).line_points:
+        assert all(a < b for a, b in zip(line, line[1:])), line
+
+
+def test_plane_shares_one_int_per_point():
+    # q = 16 has ids up to 272, past the ints CPython caches
+    plane = projective_plane(16)
+    ids = {}
+    for line in plane.line_points:
+        for pt in line:
+            assert ids.setdefault(pt, pt) is pt
+
+
+def test_plane_live_bytes_per_incidence():
+    q = 61
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plane = projective_plane(q)
+        live = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    incidences = sum(map(len, plane.line_points))
+    assert incidences == (q * q + q + 1) * (q + 1)
+    assert live <= 16 * incidences
 
 
 def test_plane_order_supported_iff_field_constructs():
     for q in range(65):
         try:
-            FiniteField(q)
+            field_tables(q)
             constructs = True
         except InputError:
             constructs = False
@@ -122,14 +150,14 @@ def test_pencil_transversals_match_line_intersections(q, m):
     plane = projective_plane(q)
     # oracle: plain set intersections, with the pencil rebuilt from incidences
     through0 = [li for li, pts in enumerate(plane.line_points) if 0 in pts]
-    residues = [sorted(plane.line_points[li] - {0}) for li in through0[:m]]
+    residues = [sorted(set(plane.line_points[li]) - {0}) for li in through0[:m]]
     off = [li for li, pts in enumerate(plane.line_points) if 0 not in pts]
     got = pencil_transversals(plane, m)
     assert len(got) == len(off) == q * q
     for li, pos in zip(off, got):
         assert len(pos) == m
         for residue, idx in zip(residues, pos):
-            (common,) = plane.line_points[li] & set(residue)
+            (common,) = set(plane.line_points[li]) & set(residue)
             assert residue[idx] == common
     if m == 4:  # lines 0 and 3 are paired bijectively
         assert {(t[0], t[3]) for t in got} == {(i, j) for i in range(q) for j in range(q)}

@@ -24,7 +24,12 @@ from geochroma.constructions import (
     thm32_construction,
     trivial_edge_decomposition,
 )
-from geochroma.designs import FiniteField, plane_order_supported
+from geochroma.designs import (
+    field_tables,
+    pencil_transversals,
+    plane_order_supported,
+    projective_plane,
+)
 from geochroma.exactgeom import (
     InputError,
     convex_configuration,
@@ -248,12 +253,23 @@ def test_convex_conflict_graph_digest(tmp_path, build, m, digest):
 def test_field_tables_digest():
     # every supported GF(q), q <= 32: the axiom tests accept any relabelling
     # of a field, and a relabelled field changes every plane built on it
-    tables = [[q, ff.add_table, ff.neg_table, ff.mul_table, ff.inv_table]
-              for q in range(2, 33) if plane_order_supported(q)
-              for ff in [FiniteField(q)]]
+    tables = [[q, *field_tables(q)] for q in range(2, 33) if plane_order_supported(q)]
     blob = json.dumps(tables, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "ec60d045e904ba958c25a2f933373e544c4846fdce0d80d4d7795d950cdbc111")
+
+
+def test_pencil_transversals_digest():
+    # the transversal designs thm3 and thm5 read off PG(2, q): every supported
+    # q < 60, with m in {4, 9, q + 1} lines through point 0 (64 cases); a
+    # closed form for these tuples must reproduce this digest
+    cases = [[q, m, pencil_transversals(projective_plane(q), m)]
+             for q in range(2, 60) if plane_order_supported(q)
+             for m in sorted({4, 9, q + 1}) if m <= q + 1]
+    assert len(cases) == 64
+    blob = json.dumps(cases, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "c6a1215c5697b58e06bb5d44403648847c2a78fb352dc46525bd60cf691d8ea6")
 
 
 def _asg_record(asg):
