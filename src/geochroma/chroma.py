@@ -21,10 +21,11 @@ floating point.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations
+from itertools import accumulate, combinations, islice
 from operator import or_
 from typing import NamedTuple
 
@@ -78,7 +79,7 @@ def conflict_graph(d: Decomposition) -> ConflictGraph:
 
     Each part is shaped once, so a pair costs `parts_conflict` only its box,
     shared-vertex and edge-pair tests."""
-    return _graph(*_conflict_items(d.config, [p.vertices for p in d.parts]))
+    return _graph(*_conflict_items(d.config, list(d.parts.blocks)))
 
 
 def verify_coloring(d: Decomposition, c: Coloring) -> list[tuple[int, int]]:
@@ -89,25 +90,40 @@ def verify_coloring(d: Decomposition, c: Coloring) -> list[tuple[int, int]]:
     one `convex_noncrossing` scan, and its pairs are listed by `parts_conflict`
     only if the scan rejects it.  The parts of a class that is checked pair by
     pair are shaped once, so `parts_conflict` decides pairs whose boxes are
-    apart without an edge test."""
-    if len(c.colors) != len(d.parts):
+    apart without an edge test.  The classes are the runs of one array of
+    part indices counting-sorted by color, a few bytes per part and per color
+    id (every coloring this package makes or loads has ids below the number
+    of parts)."""
+    colors = c.colors
+    if len(colors) != len(d.parts):
         raise InputError("coloring does not cover all parts")
-    groups: dict[int, list[int]] = {}
-    for i, col in enumerate(c.colors):
-        groups.setdefault(col, []).append(i)
+    sizes = [0] * c.palette
+    for col in colors:
+        sizes[col] += 1
+    starts = array("Q", accumulate(sizes, initial=0))
+    del sizes
+    members = array("I", bytes(4 * len(colors)))
+    free = array("Q", starts)  # the next slot of each class
+    for i, col in enumerate(colors):
+        members[free[col]] = i
+        free[col] += 1
+    del free
     config = d.config
-    bad = []
-    for members in groups.values():
-        if len(members) < 2:
+    verts, bounds = d.parts.vertices, d.parts.bounds
+    found = []  # (first part, violating pairs) of each improper class
+    for lo, hi in zip(starts, islice(starts, 1, None)):
+        if hi - lo < 2:
             continue
-        parts = [d.parts[i].vertices for i in members]
+        cls = members[lo:hi]
+        parts = [verts[bounds[i]:bounds[i + 1]] for i in cls]
         if config.mode == "convex" and convex_noncrossing(parts):
             continue
         items, related = _conflict_items(config, parts)
-        for (i, a), (j, b) in combinations(zip(members, items), 2):
-            if related(a, b):
-                bad.append((i, j))
-    return bad
+        pairs = [(i, j) for (i, a), (j, b) in combinations(zip(cls, items), 2) if related(a, b)]
+        if pairs:
+            found.append((cls[0], pairs))
+    found.sort()
+    return [pair for _, pairs in found for pair in pairs]
 
 
 def greedy_color(g: ConflictGraph) -> Coloring:
@@ -367,12 +383,12 @@ def triangle_census(d: Decomposition, c: Coloring, x=None) -> TriangleCensus:
     limit = xa.floor() - 2
     lengths: dict[int, int] = {}
     per_class: dict[int, int] = {}
-    for i, part in enumerate(d.parts):
-        if len(part.vertices) > 3:
-            raise InputError(f"part {i} is not a triangle or edge: {part.vertices}")
-        if len(part.vertices) != 3:
+    for i, verts in enumerate(d.parts.blocks):
+        if len(verts) > 3:
+            raise InputError(f"part {i} is not a triangle or edge: {verts}")
+        if len(verts) != 3:
             continue
-        t = triangle_length(n, part.vertices)
+        t = triangle_length(n, verts)
         lengths[i] = t
         col = c.colors[i]
         per_class.setdefault(col, 0)

@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 from . import __version__
 from .exactgeom import (
@@ -198,9 +199,7 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     decomp, coloring = load_decomposition(args.file)
     n = decomp.config.n
-    sizes = {}
-    for p in decomp.parts:
-        sizes[len(p.vertices)] = sizes.get(len(p.vertices), 0) + 1
+    sizes = Counter(decomp.parts.sizes())
     print(f"n: {n} ({decomp.config.mode})")
     print(f"parts: {len(decomp.parts)}")
     for s in sorted(sizes):

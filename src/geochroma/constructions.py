@@ -1,23 +1,25 @@
 """Edge decompositions of complete geometric graphs and their constructions.
 
-A decomposition is a list of parts (vertex subsets, each inducing a complete
-subgraph) covering every edge of the complete graph exactly once; a coloring
-gives each part a color.  The constructors here realize the explicit
-families: the trivial edge partition, the pairwise-intersecting K4 family on
-general-position points, the convex matching-triangle family, the recursive
-triangle decomposition, and the cyclic-STS triangle decomposition with its
-box coloring.  Each family hands its raw parts to one assembly step,
-_finalize, which sorts them and, for an uncolored family, turns every edge no
-part covers into a singleton part; every family returns a Construction.
+A decomposition is a sequence of parts (vertex subsets, each inducing a
+complete subgraph) covering every edge of the complete graph exactly once; a
+coloring gives each part a color.  Both are stored as flat integer arrays
+(Parts, Coloring), and a Part is made only when an item is asked for.  The
+constructors here realize the explicit families: the trivial edge partition,
+the pairwise-intersecting K4 family on general-position points, the convex
+matching-triangle family, the recursive triangle decomposition, and the
+cyclic-STS triangle decomposition with its box coloring.  Each family appends
+its raw parts to one Parts and hands it to one assembly step, _finalize,
+which sorts them and, for an uncolored family, turns every edge no part
+covers into a singleton part; every family returns a Construction.
 """
 
 from __future__ import annotations
 
-import gc
-import sys
-from dataclasses import dataclass, field, replace
-from itertools import chain, combinations
-from operator import ge
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from itertools import chain, combinations, islice, repeat
+from operator import eq, ge, sub
 from typing import NamedTuple
 
 from .exactgeom import (
@@ -60,11 +62,11 @@ class Part:
     """A vertex subset of size >= 2, as a strictly increasing tuple; induced,
     hence complete.  Slotted: a part holds its two fields and no __dict__.
 
-    __init__ is written out: it checks the vertices and stores both fields
-    through their slot descriptors, which pass the frozen __setattr__ more
-    cheaply than the generated __init__'s object.__setattr__ calls and
-    __post_init__: 0.64 us per triangle against 0.84 us (CPython 3.11, shared
-    2-core x86 host), paid once per part a file holds."""
+    A decomposition stores no Part (see Parts): one is made when an item of
+    its parts is asked for.  __init__ is written out: it checks the vertices
+    and stores both fields through their slot descriptors, which pass the
+    frozen __setattr__ more cheaply than the generated __init__'s
+    object.__setattr__ calls and __post_init__."""
 
     vertices: tuple[int, ...]
     tag: str = "part"
@@ -84,19 +86,149 @@ class Part:
 _SET_VERTICES = Part.vertices.__set__
 _SET_TAG = Part.tag.__set__
 
+# a part vertex is stored as a C unsigned int, so every vertex id is below this
+VERTEX_LIMIT = 1 << 8 * array("I").itemsize
+
+
+class Parts(Sequence):
+    """A decomposition's parts, stored flat.  Every part's vertices sit in one
+    array("I"), part after part: part i is vertices[bounds[i]:bounds[i + 1]],
+    strictly increasing, and its tag is tags[tag_ids[i]].  A part costs its
+    vertex ids, one offset and one tag index, and no Python object.
+
+    As a sequence it is read-only and its items are Parts, made when asked
+    for; it equals a list or tuple of the same Parts.  `blocks` reads the
+    vertex tuples without making Parts.  The constructions and the loader
+    fill it with `add`, one part at a time, as each part is made."""
+
+    __slots__ = ("vertices", "bounds", "tag_ids", "tags", "_tag_index")
+
+    def __init__(self, parts: Iterable[Part] = ()):
+        self.vertices = array("I")
+        self.bounds = array("Q", (0,))
+        self.tag_ids = array("I")
+        self.tags: list[str] = []
+        self._tag_index: dict[str, int] = {}
+        for p in parts:
+            self.add(p.vertices, p.tag)
+
+    def add(self, vertices, tag: str) -> None:
+        """Append a part.  Its vertices must be strictly increasing ints in
+        [0, VERTEX_LIMIT): the caller's to ensure, as Part and _part do."""
+        self.vertices.extend(vertices)
+        self.bounds.append(len(self.vertices))
+        t = self._tag_index.get(tag)
+        if t is None:
+            t = self._tag_index[tag] = len(self.tags)
+            self.tags.append(tag)
+        self.tag_ids.append(t)
+
+    def __len__(self) -> int:
+        return len(self.tag_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # a negative i counts from the end, as in a list
+        return Part(self.blocks[i], self.tags[self.tag_ids[i]])
+
+    def __iter__(self):
+        return map(Part, self.blocks, map(self.tags.__getitem__, self.tag_ids))
+
+    def __eq__(self, other):
+        if isinstance(other, (Parts, list, tuple)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other) -> list[Part]:
+        return list(self) + list(other)
+
+    @property
+    def blocks(self) -> "Blocks":
+        return Blocks(self)
+
+    def sizes(self):
+        """The number of vertices of each part, in order."""
+        bounds = self.bounds
+        return map(sub, islice(bounds, 1, None), bounds)
+
+    def cut(self, ids) -> Iterator[tuple[int, ...]]:
+        """The parts' vertex tuples, in order, cut from ids: an iterator over
+        the ids of the vertices array, in its order (the array itself, or its
+        ids mapped to shared int objects)."""
+        bounds = self.bounds
+        if not self:
+            return iter(())
+        size = bounds[1]
+        if (len(self.vertices) == size * len(self)
+                and bounds == array("Q", range(0, len(self.vertices) + 1, size))):
+            return zip(*[ids] * size)  # parts of one size: no islice per part
+        return map(tuple, map(islice, repeat(ids), self.sizes()))
+
+    def take(self, order) -> "Parts":
+        """The parts order[0], order[1], ... as a new Parts that shares this
+        one's tag table."""
+        out = Parts()
+        out.tags, out._tag_index = self.tags, self._tag_index
+        verts, bounds = self.vertices, self.bounds
+        out_verts, out_bounds = out.vertices, out.bounds
+        for i in order:
+            out_verts += verts[bounds[i]:bounds[i + 1]]
+            out_bounds.append(len(out_verts))
+        out.tag_ids = array("I", map(self.tag_ids.__getitem__, order))
+        return out
+
+
+class Blocks(Sequence):
+    """The vertex tuples of a Parts, in part order, made on demand.  In one
+    pass over them equal ids share one int object, so a caller that keeps
+    the ids it reads (designs.pair_cover_report) holds one int per id, not
+    one per occurrence."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Parts):
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def __getitem__(self, i) -> tuple[int, ...]:
+        parts = self.parts
+        i = range(len(parts))[i]
+        return tuple(parts.vertices[parts.bounds[i]:parts.bounds[i + 1]])
+
+    def __iter__(self):
+        verts = self.parts.vertices
+        return self.parts.cut(map({}.setdefault, verts, verts))
+
 
 @dataclass
 class Decomposition:
+    """A configuration, its parts and metadata.  parts may be given as any
+    sequence of Parts; it is stored as a Parts (a Parts is kept as given)."""
+
     config: Configuration
-    parts: list[Part]
+    parts: Parts
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if type(self.parts) is not Parts:
+            self.parts = Parts(self.parts)
 
 
 @dataclass(frozen=True)
 class Coloring:
-    """Part index -> 0-based color id."""
+    """Part index -> 0-based color id, stored as an array("I"); colors may be
+    given as any sequence of such ids."""
 
-    colors: tuple[int, ...]
+    colors: array
+
+    def __post_init__(self):
+        if not (type(self.colors) is array and self.colors.typecode == "I"):
+            object.__setattr__(self, "colors", array("I", self.colors))
 
     @property
     def palette(self) -> int:
@@ -114,7 +246,7 @@ class Construction(NamedTuple):
     def distinguished(self) -> list[int]:
         """Indices of the parts with more than two vertices: the family
         itself, as opposed to the singleton edges that complete the cover."""
-        return [i for i, p in enumerate(self.decomposition.parts) if len(p.vertices) > 2]
+        return [i for i, size in enumerate(self.decomposition.parts.sizes()) if size > 2]
 
     @property
     def stats(self) -> dict:
@@ -124,42 +256,63 @@ class Construction(NamedTuple):
 def validate_decomposition(d: Decomposition) -> dict:
     """Exact-cover report: every edge of K_n in exactly one part.
 
-    A Part's vertices are strictly increasing, so once each part is checked
-    to lie in 0..n-1 the parts go straight to the pair count."""
+    A part's vertices are strictly increasing ints >= 0, so once each part is
+    checked to lie below n its vertex tuples go straight to the pair count."""
     n = d.config.n
-    for part in d.parts:
-        if part.vertices[-1] >= n or part.vertices[0] < 0:
-            return {"uncovered": [], "uncovered_count": 0, "repeated": [], "valid": False,
-                    "error": f"part {part.vertices} out of range"}
-    return pair_cover_report(n, [p.vertices for p in d.parts])
+    parts = d.parts
+    if max(parts.vertices, default=-1) >= n:
+        verts = parts.vertices
+        tops = (verts[end - 1] for end in islice(parts.bounds, 1, None))
+        first = next(i for i, top in enumerate(tops) if top >= n)
+        return {"uncovered": [], "uncovered_count": 0, "repeated": [], "valid": False,
+                "error": f"part {parts.blocks[first]} out of range"}
+    return pair_cover_report(n, parts.blocks)
 
 
-def _finalize(config, raw_parts, metadata, colors=None) -> Construction:
+def _lex_order(parts: Parts) -> array:
+    """The part indices in lexicographic order of the parts' vertex tuples:
+    bucketed by first vertex, then each bucket sorted on the rest."""
+    verts, bounds = parts.vertices, parts.bounds
+    buckets: dict[int, array] = {}
+    for i, first in enumerate(map(verts.__getitem__, islice(bounds, len(parts)))):
+        bucket = buckets.get(first)
+        if bucket is None:
+            bucket = buckets[first] = array("I")
+        bucket.append(i)
+
+    def rest(i):
+        return verts[bounds[i] + 1:bounds[i + 1]]
+
+    order = array("I")
+    for first in sorted(buckets):
+        bucket = buckets.pop(first)
+        order += bucket if len(bucket) == 1 else array("I", sorted(bucket, key=rest))
+    return order
+
+
+def _finalize(config, raw: Parts, metadata, colors=None) -> Construction:
     """Sort parts lexicographically by vertex list into a Construction.
 
-    With colors, the coloring follows the parts into the new order.  Without,
-    the coloring is None and every edge of K_n that no raw part covers first
-    becomes a singleton-edge part.
+    With colors (one per raw part), the coloring follows the parts into the
+    new order.  Without, the coloring is None and every edge of K_n that no
+    raw part covers first becomes a singleton-edge part.
     """
     if colors is None:
-        covered = set(chain.from_iterable(p.edges() for p in raw_parts))
-        raw_parts = raw_parts + [
-            Part(vertices=e, tag="singleton-edge")
-            for e in combinations(range(config.n), 2) if e not in covered
-        ]
-    order = sorted(range(len(raw_parts)), key=lambda i: raw_parts[i].vertices)
-    parts = [raw_parts[i] for i in order]
-    decomp = Decomposition(config=config, parts=parts, metadata=metadata)
+        covered = set(chain.from_iterable(map(part_edges, raw.blocks)))
+        for e in combinations(range(config.n), 2):
+            if e not in covered:
+                raw.add(e, "singleton-edge")
+    order = _lex_order(raw)
+    decomp = Decomposition(config=config, parts=raw.take(order), metadata=metadata)
     if colors is None:
         return Construction(decomp, None)
-    remapped = tuple(colors[i] for i in order)
-    return Construction(decomp, Coloring(colors=remapped))
+    return Construction(decomp, Coloring(array("I", map(colors.__getitem__, order))))
 
 
 def trivial_edge_decomposition(config: Configuration) -> Decomposition:
     if config.n < 2:
         raise InputError("need n >= 2")
-    return _finalize(config, [], {"construction": "edges", "n": config.n}).decomposition
+    return _finalize(config, Parts(), {"construction": "edges", "n": config.n}).decomposition
 
 
 # --- thm4: convex matching-triangle family --------------------------------------
@@ -175,12 +328,11 @@ def thm4_construction(n: int) -> Construction:
         raise InputError(f"n must be a multiple of 3, >= 6; got {n}")
     m = n // 3
     config = convex_configuration(n)
-    raw = []
+    raw = Parts()
     for i in range(m, 2 * m):
         for j in range(2 * m, 3 * m):
             k = (i + j) % m
-            verts = tuple(sorted((k, i, j)))
-            raw.append(Part(vertices=verts, tag=f"triangle({k};{i},{j})"))
+            raw.add((k, i, j), f"triangle({k};{i},{j})")  # k < m <= i < 2m <= j
     meta = {
         "construction": "thm4",
         "n": n,
@@ -237,11 +389,10 @@ def thm3_construction(q: int, config: Configuration | None = None, seed: int = 0
 
     # a line off the pencil's point meets pencil lines 0 and 3 at (i, j), and
     # every (i, j) pair once: a transversal design pairing fan points
-    raw = []
+    raw = Parts()
     for i, i2, j2, j in pencil_transversals(projective_plane(q), 4):
         for fam, s1, s2_, s3_ in (("X", v1, v2, v3), ("Y", u1, u2, u3)):
-            verts = tuple(sorted((s1[i], v4[j], s2_[i2], s3_[j2])))
-            raw.append(Part(vertices=verts, tag=f"{fam}({i + 1},{j + 1})"))
+            raw.add(sorted((s1[i], v4[j], s2_[i2], s3_[j2])), f"{fam}({i + 1},{j + 1})")
 
     cx, cy = fan.center
     meta = {
@@ -305,13 +456,14 @@ def thm32_construction(k: int) -> Construction:
                     f"box {box}: triples {triples[ta]} and {triples[tb]} conflict when placed"
                 )
 
-    color = list(range(n * (k // 2 + 1))).__getitem__  # one int object per color id
-    colors = [color((table.rows[t // 3].box - 1) * n + (s - a) % n)
-              for t, a in enumerate(anchors) for s in range(n)]
-    raw = [Part(vertices=blk, tag="triangle") for blk in design.blocks]
+    colors = array("I", ((table.rows[t // 3].box - 1) * n + (s - a) % n
+                         for t, a in enumerate(anchors) for s in range(n)))
     palette = max(colors) + 1
     if palette != n * (k // 2 + 1):
         raise AssertionError(f"palette {palette} != n(k/2+1) = {n * (k // 2 + 1)}")
+    raw = Parts()
+    for blk in design.blocks:
+        raw.add(blk, "triangle")
     meta = {
         "construction": "thm32",
         "k": k,
@@ -319,6 +471,7 @@ def thm32_construction(k: int) -> Construction:
         "colors": n * (k // 2 + 1),
         "blocks": len(design.blocks),
     }
+    del design  # its block tuples are in raw now
     return _finalize(config, raw, meta, colors=colors)
 
 
@@ -362,65 +515,16 @@ def thm5_construction(config: Configuration) -> Construction:
     n = config.n
     if n < 2:
         raise InputError("need n >= 2")
-    pts = config.points
-    used: set[tuple[int, int]] = set()
-    levels: list[dict] = []
-    raw: list[Part] = []
-    colors: list[int] = []
-
-    def build(idxs, depth, first) -> int:
-        """Place the triangles on the points idxs, colored from `first` on,
-        and return how many colors they use."""
-        ordered = sorted(idxs)
-        m = len(ordered)
-        if m < THM5_MIN_LEVEL:
-            return 0
-        sub_pts = tuple(pts[i] for i in ordered)
-        sub = Configuration(mode="coordinates", n=m, points=sub_pts)
-        try:
-            base = six_parts_two_parallel(sub)
-        except InputError:  # the search is exhausted, or m < 6
-            return 0
-        q = next((c for c in range(m // 9, 7, -1)
-                  if nine_fit(base, c) and plane_order_supported(c)), None)
-        if q is None:
-            return 0
-        nine = nine_regions(sub, q, base=base)
-        regions = [[ordered[v] for v in r] for r in nine.regions]
-
-        placed = len(raw)
-        ncolors = 0
-        transversals = pencil_transversals(projective_plane(q), 9)
-        for pos in transversals:
-            verts9 = [regions[a][idx] for a, idx in enumerate(pos)]
-            slots: dict[str, int] = {}
-            for posns, slot, tag in _K9_TRIANGLES:
-                tri = tuple(sorted(verts9[p] for p in posns))
-                ek = ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))
-                if any(e in used for e in ek):
-                    continue
-                used.update(ek)
-                if slot not in slots:
-                    slots[slot] = ncolors
-                    ncolors += 1
-                raw.append(Part(vertices=tri, tag=tag))
-                colors.append(first + slots[slot])
-
-        levels.append({
-            "depth": depth, "m": m, "q": q, "k9s": len(transversals),
-            "level_triangles": len(raw) - placed,
-            "level_colors": ncolors,
-        })
-        # the strips share one color block after this level's colors
-        return ncolors + max(build([ordered[v] for v in s], depth + 1, first + ncolors)
-                             for s in nine.strips)
-
-    tri_colors = build(range(n), 0, 0)
+    state = _Thm5State(config.points, set(), Parts(), array("I"), [])
+    tri_colors = _place_level(state, range(n), 0, 0)
+    raw, colors, levels = state.raw, state.colors, state.levels
     triangles = len(raw)
     # the singleton edges: every edge of K_n that no triangle covers
-    singles = [e for e in combinations(range(n), 2) if e not in used]
+    singles = [e for e in combinations(range(n), 2) if e not in state.used]
+    del state  # and with it the covered-edge set
     single_colors = _color_singletons(config, singles, tri_colors)
-    raw.extend(Part(vertices=e, tag="singleton-edge") for e in singles)
+    for e in singles:
+        raw.add(e, "singleton-edge")
     colors.extend(single_colors)
     single_palette = len(set(single_colors))
 
@@ -437,6 +541,67 @@ def thm5_construction(config: Configuration) -> Construction:
         "levels": levels,
     }
     return _finalize(config, raw, meta, colors=colors)
+
+
+class _Thm5State(NamedTuple):
+    """What thm5's levels share: the points, the edges their triangles cover
+    so far, the triangles placed with their colors, and one record per level."""
+
+    pts: tuple
+    used: set
+    raw: Parts
+    colors: array
+    levels: list
+
+
+def _place_level(state: _Thm5State, idxs, depth: int, first: int) -> int:
+    """Place thm5's triangles on the points idxs, colored from `first` on,
+    and return how many colors they use; the strips recurse."""
+    ordered = sorted(idxs)
+    m = len(ordered)
+    if m < THM5_MIN_LEVEL:
+        return 0
+    sub_pts = tuple(state.pts[i] for i in ordered)
+    sub = Configuration(mode="coordinates", n=m, points=sub_pts)
+    try:
+        base = six_parts_two_parallel(sub)
+    except InputError:  # the search is exhausted, or m < 6
+        return 0
+    q = next((c for c in range(m // 9, 7, -1)
+              if nine_fit(base, c) and plane_order_supported(c)), None)
+    if q is None:
+        return 0
+    nine = nine_regions(sub, q, base=base)
+    regions = [[ordered[v] for v in r] for r in nine.regions]
+
+    used, raw, colors = state.used, state.raw, state.colors
+    placed = len(raw)
+    ncolors = 0
+    transversals = pencil_transversals(projective_plane(q), 9)
+    for pos in transversals:
+        verts9 = [regions[a][idx] for a, idx in enumerate(pos)]
+        slots: dict[str, int] = {}
+        for posns, slot, tag in _K9_TRIANGLES:
+            tri = tuple(sorted(verts9[p] for p in posns))
+            ek = ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))
+            if any(e in used for e in ek):
+                continue
+            used.update(ek)
+            if slot not in slots:
+                slots[slot] = ncolors
+                ncolors += 1
+            raw.add(tri, tag)
+            colors.append(first + slots[slot])
+
+    state.levels.append({
+        "depth": depth, "m": m, "q": q, "k9s": len(transversals),
+        "level_triangles": len(raw) - placed,
+        "level_colors": ncolors,
+    })
+    # the strips share one color block after this level's colors
+    return ncolors + max(_place_level(state, [ordered[v] for v in s], depth + 1,
+                                      first + ncolors)
+                         for s in nine.strips)
 
 
 def _edges_cross(config, e1, e2) -> bool:
@@ -484,27 +649,41 @@ def _color_singletons(config, edges, base) -> list[int]:
 
 # --- JSON interchange ------------------------------------------------------------
 
-def _part_dict(p: Part) -> dict:
-    return {"vertices": list(p.vertices), "tag": p.tag}
+def _part_dict(vertices, tag: str) -> dict:
+    return {"vertices": list(vertices), "tag": tag}
 
 
-def decomposition_to_dict(d: Decomposition, coloring=None) -> dict:
-    """The JSON document of d and its coloring: the one encoding rule, each
-    part encoded by _part_dict."""
-    out = {
+def _document(d: Decomposition, coloring) -> dict:
+    """The JSON document of d and its coloring, the one encoding rule, with
+    its parts and colors as iterators: each part object made by _part_dict
+    from the arrays when it is reached."""
+    parts = d.parts
+    doc = {
         "config": config_to_dict(d.config),
-        "parts": list(map(_part_dict, d.parts)),
+        "parts": map(_part_dict, parts.cut(iter(parts.vertices)),
+                     map(parts.tags.__getitem__, parts.tag_ids)),
         "metadata": d.metadata,
     }
     if coloring is not None:
-        out["coloring"] = list(coloring.colors)
-    return out
+        doc["coloring"] = iter(coloring.colors)
+    return doc
+
+
+def decomposition_to_dict(d: Decomposition, coloring=None) -> dict:
+    """The JSON document of d and its coloring (see _document)."""
+    doc = _document(d, coloring)
+    for key in ("parts", "coloring"):
+        if key in doc:
+            doc[key] = list(doc[key])
+    return doc
 
 
 _PARTS_SHAPE = '"parts" must be a list of {"vertices": [...]} objects'
 _INT = frozenset({int})
 # the keys of a part object, in the order write_json writes them
 _PART_KEYS = ("tag", "vertices")
+# what load_decomposition's object hook leaves in place of a part it stored
+_STORED = object()
 
 
 def _ints_below(values: list, hi: int) -> bool:
@@ -513,66 +692,35 @@ def _ints_below(values: list, hi: int) -> bool:
             and min(values, default=0) >= 0 and max(values, default=-1) < hi)
 
 
-def _part(obj, n: int | None) -> Part:
-    """The Part a decoded part object describes: the loader's one per-part
-    rule.  InputError unless obj is a dict whose "vertices" is a list of at
-    least two ints, strictly increasing, in [0, n), and whose "tag", if given,
-    is a string.  Equal tags share one (interned) string.
+def _part(obj, n: int | None) -> tuple[list, str]:
+    """The vertices and tag of the part a decoded part object describes: the
+    loader's one per-part rule.  InputError unless obj is a dict whose
+    "vertices" is a list of at least two ints, strictly increasing, in
+    [0, n), and whose "tag", if given, is a string; and, as Parts stores
+    them, every vertex below VERTEX_LIMIT.
 
-    With n None the range is left unchecked: _decode_part meets parts before
-    the file's configuration is known.  A Part it made comes through here
-    again from decomposition_from_dict, with n, for the range alone."""
-    if type(obj) is not Part:
-        verts = obj.get("vertices") if isinstance(obj, dict) else None
-        if not isinstance(verts, list):
-            raise InputError(_PARTS_SHAPE)
-        tag = obj.get("tag", "part")
-        if type(tag) is not str:
-            raise InputError(f"part tag must be a string, got {type(tag).__name__}")
-        if not _INT.issuperset(map(type, verts)):
-            raise InputError(f"part vertices must be ints in [0, {n})")
-        obj = Part(tuple(verts), sys.intern(tag))
-    if n is not None and (obj.vertices[0] < 0 or obj.vertices[-1] >= n):
+    With n None the upper end of the range is left to the caller:
+    load_decomposition's object hook meets parts before the file's
+    configuration is known, checks that end once it is, and discards the
+    message of a part that fails here."""
+    verts = obj.get("vertices") if isinstance(obj, dict) else None
+    if not isinstance(verts, list):
+        raise InputError(_PARTS_SHAPE)
+    tag = obj.get("tag", "part")
+    if type(tag) is not str:
+        raise InputError(f"part tag must be a string, got {type(tag).__name__}")
+    if not _INT.issuperset(map(type, verts)):
         raise InputError(f"part vertices must be ints in [0, {n})")
-    return obj
-
-
-def _decode_part(obj: dict):
-    """The json object_hook of load_decomposition: an object that has exactly
-    the keys and key order save_decomposition writes for a part, and passes
-    every check of _part but the range, becomes its Part as soon as it is
-    decoded, so the file's parts never exist as dicts all at once.  Any other
-    object stays as it is; one that fails a check is reported by
-    decomposition_from_dict at its place in the file."""
-    if tuple(obj) == _PART_KEYS:
-        try:
-            return _part(obj, None)
-        except InputError:
-            pass
-    return obj
-
-
-def _restore_parts(data):
-    """data, a decoded file, with every Part that _decode_part made outside
-    its "parts" list turned back into the object it was decoded from.
-
-    The hook cannot tell a part from a metadata or configuration value of the
-    same shape; this restores the latter, so they load back equal to what was
-    saved and every check and message sees the decoded JSON.  An explicit
-    stack, not recursion, as the decoder nests as deep as the recursion limit."""
-    if not isinstance(data, dict):
-        return data
-    parts = data.get("parts")
-    todo = [data]
-    while todo:
-        node = todo.pop()
-        for key, value in node.items() if type(node) is dict else enumerate(node):
-            if type(value) is Part:
-                if node is not parts:
-                    node[key] = {"tag": value.tag, "vertices": list(value.vertices)}
-            elif type(value) is dict or type(value) is list:
-                todo.append(value)
-    return data
+    if len(verts) < 2:
+        raise InputError(f"part too small: {tuple(verts)}")
+    if any(map(ge, verts, verts[1:])):
+        raise InputError(f"part not sorted/distinct: {tuple(verts)}")
+    if verts[0] < 0 or n is not None and verts[-1] >= n:
+        raise InputError(f"part vertices must be ints in [0, {n})")
+    if verts[-1] >= VERTEX_LIMIT:
+        raise InputError(f"part vertex {verts[-1]} is past the vertex-id limit: "
+                         f"ids must be below 2**{VERTEX_LIMIT.bit_length() - 1}")
+    return verts, tag
 
 
 def decomposition_from_dict(data: dict):
@@ -582,6 +730,13 @@ def decomposition_from_dict(data: dict):
     Color ids must be below the number of parts, as every coloring this
     package writes uses ids 0..palette-1 and its palette is at most that.
     data is not modified."""
+    return _from_dict(data, None)
+
+
+def _from_dict(data, stored: Parts | None):
+    """decomposition_from_dict, or, given stored, the same checks with the
+    file's parts already in stored: each of data["parts"] passed _part with
+    n None on its way there, so only the upper end of their range is left."""
     if not isinstance(data, dict) or "config" not in data or "parts" not in data:
         raise InputError('decomposition needs "config" and "parts"')
     metadata = data.get("metadata", {})
@@ -592,8 +747,14 @@ def decomposition_from_dict(data: dict):
     if not isinstance(raw, list):
         raise InputError(_PARTS_SHAPE)
     n = config.n
-    parts = [_part(p, n) for p in raw]
-    d = Decomposition(config=config, parts=parts, metadata=metadata)
+    if stored is None:
+        parts = Parts()
+        for p in raw:
+            parts.add(*_part(p, n))
+    elif max(stored.vertices, default=-1) >= n:
+        raise InputError(f"part vertices must be ints in [0, {n})")
+    else:
+        parts = stored
     coloring = None
     cols = data.get("coloring")
     if cols is not None:
@@ -602,44 +763,44 @@ def decomposition_from_dict(data: dict):
             raise InputError(
                 f'"coloring" must list one color id in [0, {len(parts)}) per part'
             )
-        coloring = Coloring(colors=tuple(cols))
-    return d, coloring
+        coloring = Coloring(array("I", cols))
+    return Decomposition(config=config, parts=parts, metadata=metadata), coloring
 
 
 def save_decomposition(d: Decomposition, path, coloring=None) -> None:
     """Write decomposition_to_dict(d, coloring) with write_json, the same
-    bytes, but with the parts encoded a slice at a time as write_json reaches
-    them: their dicts never exist all at once."""
-    doc = decomposition_to_dict(replace(d, parts=[]), coloring)
-    doc["parts"] = map(_part_dict, d.parts)
-    write_json(doc, path)
-
-
-class _SharedInts(dict):
-    """A json parse_int for one load, through __getitem__: the int of each
-    integer text, made once per distinct text, so every occurrence of a
-    vertex or color id in a file decodes to one shared int object."""
-
-    __slots__ = ()
-
-    def __missing__(self, text: str) -> int:
-        value = self[text] = int(text)
-        return value
+    bytes, with the parts and colors encoded from the arrays a slice at a
+    time as write_json reaches them: no dict per part exists all at once."""
+    write_json(_document(d, coloring), path)
 
 
 def load_decomposition(path):
-    """decomposition_from_dict of the file at path, with each part object
-    turned into its Part as soon as the decoder finishes it (_decode_part)
-    and equal integers sharing one int (_SharedInts, kept for this load).
+    """decomposition_from_dict of the file at path, read without a Part or a
+    dict per part.
 
-    The cyclic garbage collector is paused for the load, as what it builds
-    holds no reference cycles for it to find; the caller's setting is
-    restored however the load ends."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        data = read_json(path, _decode_part, _SharedInts().__getitem__)
-        return decomposition_from_dict(_restore_parts(data))
-    finally:
-        if enabled:
-            gc.enable()
+    The decoder's object hook passes each object with exactly the keys and
+    key order save_decomposition writes for a part through _part (n None),
+    adds it to one Parts and leaves _STORED in its place, so the file's
+    parts never exist as objects all at once.  When every item of the
+    file's "parts" list is a stored part, and every stored part such an
+    item, that Parts is the decomposition's.  Otherwise (a part that fails a
+    check, or a value of a part's shape elsewhere in the file, which the
+    hook cannot tell from a part) the file is decoded again as a plain tree
+    for decomposition_from_dict, so every check and message sees the
+    decoded JSON."""
+    parts = Parts()
+
+    def store(obj: dict):
+        if tuple(obj) == _PART_KEYS:
+            try:
+                parts.add(*_part(obj, None))
+            except InputError:
+                return obj
+            return _STORED
+        return obj
+
+    data = read_json(path, store)
+    listed = data.get("parts") if type(data) is dict else None
+    if type(listed) is list and len(listed) == len(parts) == listed.count(_STORED):
+        return _from_dict(data, parts)
+    return decomposition_from_dict(read_json(path))

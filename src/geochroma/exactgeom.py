@@ -399,7 +399,7 @@ def save_config(config: Configuration, path) -> None:
     write_json(config_to_dict(config), path)
 
 
-def read_json(path, object_hook=None, parse_int=None):
+def read_json(path, object_hook=None):
     """The JSON value stored in the file at path.  A file that does not
     decode, or nests too deeply for the decoder, raises InputError.
 
@@ -407,11 +407,10 @@ def read_json(path, object_hook=None, parse_int=None):
     decoder finishes it, and its result takes the object's place, so a caller
     can turn records into compact values as the decoder reaches them instead
     of holding the whole decoded tree (load_decomposition does so for its
-    parts).  parse_int is json.load's too: it is called with the text of each
-    JSON integer (load_decomposition uses it to share equal ints)."""
+    parts)."""
     with open(path) as fh:
         try:
-            return json.load(fh, object_hook=object_hook, parse_int=parse_int)
+            return json.load(fh, object_hook=object_hook)
         except RecursionError:
             raise InputError(f"{path}: JSON nested too deeply") from None
         except ValueError as exc:

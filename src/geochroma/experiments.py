@@ -22,7 +22,7 @@ from .exactgeom import (
 )
 from .designs import sts9, validate_design, difference_triples, cyclic_sts
 from .constructions import (
-    Part,
+    Parts,
     _finalize,
     thm3_construction,
     thm4_construction,
@@ -92,7 +92,7 @@ def criterion_thm4():
         dist = fam.distinguished
         cover = validate_decomposition(d)["valid"]
         disjoint, conflicts, pairs = _family_check(
-            d.config, [d.parts[i].vertices for i in dist])
+            d.config, [d.parts.blocks[i] for i in dist])
         conflicting = conflicts == pairs
         g = conflict_graph(d)
         cl = clique_index(g, budget=500_000)
@@ -126,10 +126,10 @@ def criterion_thm3():
             pts = d.config.points
             cover = validate_decomposition(d)["valid"]
             disjoint, conflicts, pairs = _family_check(
-                d.config, [d.parts[i].vertices for i in dist])
+                d.config, [d.parts.blocks[i] for i in dist])
             inside = 0
             for pi in dist:
-                tri = [v for v in d.parts[pi].vertices if v not in strip]
+                tri = [v for v in d.parts.blocks[pi] if v not in strip]
                 if len(tri) == 3 and point_in_triangle(
                     center, pts[tri[0]], pts[tri[1]], pts[tri[2]]
                 ):
@@ -231,13 +231,13 @@ def _random_instance(rng, n):
     tris = list(combinations(range(n), 3))
     rng.shuffle(tris)
     used = set()
-    parts = []
+    parts = Parts()
     for tri in tris:
         es = part_edges(tri)
         if any(e in used for e in es):
             continue
         used.update(es)
-        parts.append(Part(vertices=tri, tag="triangle"))
+        parts.add(tri, "triangle")
     return _finalize(config, parts, {"random": True}).decomposition
 
 

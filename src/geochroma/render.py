@@ -52,21 +52,21 @@ def render_svg(
         f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
     ]
     drawn = 0
-    for i, part in enumerate(d.parts):
+    for i, verts in enumerate(d.parts.blocks):
         if coloring is not None and color_filter is not None:
             if coloring.colors[i] != color_filter:
                 continue
-        if len(part.vertices) == 2 and not show_singletons and color_filter is None:
+        if len(verts) == 2 and not show_singletons and color_filter is None:
             continue
         stroke = _hue(coloring.colors[i]) if coloring is not None else "#333333"
-        if len(part.vertices) >= 3:
-            pts = " ".join(f"{pos[v][0]:.2f},{pos[v][1]:.2f}" for v in part.vertices)
+        if len(verts) >= 3:
+            pts = " ".join(f"{pos[v][0]:.2f},{pos[v][1]:.2f}" for v in verts)
             lines.append(
                 f'<polygon points="{pts}" fill="none" stroke="{stroke}" '
                 f'stroke-width="1.5"/>'
             )
         else:
-            u, v = part.vertices
+            u, v = verts
             lines.append(
                 f'<line x1="{pos[u][0]:.2f}" y1="{pos[u][1]:.2f}" '
                 f'x2="{pos[v][0]:.2f}" y2="{pos[v][1]:.2f}" '

@@ -293,6 +293,22 @@ def test_verify_huge_convex_n_fails_cover(tmp_path, n):
     assert out == [f"exact cover: FAILED (uncovered={uncovered}, repeated=0)", "1"]
 
 
+@pytest.mark.parametrize("tagged", [True, False], ids=["as-written", "untagged"])
+def test_vertex_past_the_id_limit_fails_as_one_error_line(tmp_path, capsys, tagged):
+    # vertex ids are stored as 32-bit unsigned ints: on a convex n = 2**63 + 5
+    # vertex 2**32 - 1 loads (its one edge leaves the cover unfinished), and
+    # 2**32, in range, fails the per-part rule as a usage error
+    path = tmp_path / "wide.json"
+    for top, code in ((2**32 - 1, 1), (2**32, 2)):
+        part = {"tag": "edge", "vertices": [0, top]} if tagged else {"vertices": [0, top]}
+        path.write_text(json.dumps({"config": {"mode": "convex", "n": 2**63 + 5},
+                                    "parts": [part]}))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == code
+    assert capsys.readouterr().err == (
+        "error: part vertex 4294967296 is past the vertex-id limit: ids must be below 2**32\n")
+
+
 @pytest.mark.parametrize("n,colors,line", [
     (7, list(range(7)) * 3, "  n^2/9 = 5.4; palette = n^2/9 + 0.0840 * n^1.5"),
     (10**400, [0], "  n^2/9 = 1.1111E+799; palette within n^2/9 (C = 0)"),

@@ -2,10 +2,11 @@ import gc
 import hashlib
 import json
 import pickle
+import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from geochroma.exactgeom import (
     Configuration,
     InputError,
     Point,
+    config_from_dict,
     convex_configuration,
     generate_general_position,
     part_shape,
@@ -76,44 +78,56 @@ def test_loaded_parts_share_equal_tags():
     assert len({id(p.tag) for p in again.parts}) == 1
 
 
-def test_equal_ids_share_one_int_object(tmp_path):
-    # at k=16 the vertex ids reach 288 and the color ids 2600, past the ints
-    # CPython caches (-5..256), so sharing is the construction's and the loader's
+def test_parts_store_a_few_bytes_per_part(tmp_path):
+    # a decomposition holds each part as its vertex ids, one offset and one
+    # tag index in flat arrays, and its coloring one id per part: no Python
+    # object per part or per id.  thm32 k=16 (13,872 triangles), traced live
+    # bytes: 3 * 4 + 8 + 4 + 4 = 28 stored bytes per part, about 30 with the
+    # arrays' spare room, built or loaded; a Part per part held 124 to 134.
     built = thm32_construction(16)
     path = tmp_path / "k16.json"
     save_decomposition(built.decomposition, path, coloring=built.coloring)
-    for dec, col in (built, load_decomposition(path)):
-        vertices = list(chain.from_iterable(p.vertices for p in dec.parts))
-        for ids in (vertices, col.colors):
-            assert max(ids) > 256
-            first = {}
-            assert all(first.setdefault(v, v) is v for v in ids)
+    m = len(built.decomposition.parts)
+    for make in (lambda: thm32_construction(16), lambda: load_decomposition(path)):
+        tracemalloc.start()
+        try:
+            result = make()
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert type(result[0].parts) is constructions.Parts
+        assert result[0].parts == built.decomposition.parts and result[1] == built.coloring
+        del result
+        assert live / m < 36, live / m
 
 
-def test_load_pauses_gc_and_restores_the_callers_setting(tmp_path, monkeypatch):
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    save_decomposition(thm32_construction(4).decomposition, good)
-    bad.write_text('{"config": {"mode": "convex", "n": 3}, "parts": [{"vertices": [0, 5]}]}')
-    seen = []
+def test_parts_read_as_a_list_of_parts():
+    listed = [Part((0, 2, 5), "triangle"), Part((1, 3)), Part((0, 2), "triangle")]
+    parts = constructions.Parts(listed)
+    assert len(parts) == 3 and parts == listed and parts == tuple(listed) and listed == parts
+    assert parts[-1] == listed[-1] and parts[1:] == listed[1:] and parts + listed == listed * 2
+    assert parts.tags == ["triangle", "part"] and list(parts.sizes()) == [3, 2, 2]
+    assert list(parts.blocks) == [(0, 2, 5), (1, 3), (0, 2)] and parts.blocks[-2] == (1, 3)
+    assert parts != listed[:2] and parts != [*listed[:2], Part((0, 2), "edge")]
+    with pytest.raises(IndexError):
+        parts[3]
+    with pytest.raises(TypeError):
+        parts[0] = listed[0]
 
-    def decode_part(obj):
-        seen.append(gc.isenabled())
-        return decode(obj)
 
-    decode = constructions._decode_part
-    monkeypatch.setattr(constructions, "_decode_part", decode_part)
-    was = gc.isenabled()
-    try:
-        for enabled in (True, False):
-            (gc.enable if enabled else gc.disable)()
-            assert len(load_decomposition(good)[0].parts) == 876
-            assert gc.isenabled() is enabled
-            with pytest.raises(InputError, match=r"^part vertices must be ints in \[0, 3\)$"):
-                load_decomposition(bad)
-            assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert seen and not any(seen)
+def test_lex_order_equals_sorting_the_vertex_tuples():
+    # _finalize's bucketed sort against the plain sort of the tuples it
+    # replaced: a stable lexicographic order, a prefix first, equal parts in
+    # the order they came
+    rng = random.Random(7)
+    raw = constructions.Parts()
+    for _ in range(400):
+        raw.add(sorted(rng.sample(range(12), rng.randint(2, 5))), "part")
+    raw.add((3, 4), "part")
+    raw.add((3, 4, 5), "part")
+    raw.add((3, 4), "part")
+    blocks = list(raw.blocks)
+    assert list(constructions._lex_order(raw)) == sorted(range(len(raw)), key=blocks.__getitem__)
 
 
 def test_validate_lists_repeats_in_first_block_order(tmp_path):
@@ -422,6 +436,34 @@ def test_thm3_sweep_supported_q_to_13_seeds_1_to_3():
         "9599a9119bc8396f430bdfdf7795f38f605a2a29d02de2f65dd160e40a54e761")
 
 
+def test_thm5_leaves_no_garbage_for_the_collector():
+    # thm5's levels share their state through an argument, not a closure that
+    # refers to itself, so what thm5 builds is freed as soon as it is dropped,
+    # with no wait for the cyclic collector.  The closure left 13,007 objects
+    # (the covered-edge set and its tuples) for a collection to find at
+    # n=200, 1.57 MB traced; what a collection frees now, 0.26 MB, is the
+    # interpreter's free lists, which a full collection empties.  The first
+    # call is a warm-up: it imports what the planecut search loads on first
+    # use, which holds cycles of its own.
+    cfg = generate_general_position(200, seed=3)
+    thm5_construction(cfg)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = thm5_construction(cfg)
+        returned = tracemalloc.get_traced_memory()[0]
+        found = gc.collect()
+        collected = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if was:
+            gc.enable()
+    assert len(result.decomposition.parts) > 0
+    assert found == 0 and returned - collected < 512 * 1024, (found, returned - collected)
+
+
 def test_thm5_deterministic():
     cfg = generate_general_position(90, seed=5)
     a = thm5_construction(cfg)
@@ -489,6 +531,71 @@ def test_part_shaped_metadata_loads_back_equal(tmp_path):
         assert again.parts == dec.parts and col2 == col
 
 
+def _tree_load(path):
+    """The oracle loader: the file decoded as one tree, and each part made a
+    Part by the per-part rule the loader had before parts were stored flat.
+    For well-formed files: (config, parts, metadata, coloring)."""
+    data = json.loads(path.read_text())
+    config = config_from_dict(data["config"])
+    parts = []
+    for obj in data["parts"]:
+        verts, tag = obj["vertices"], obj.get("tag", "part")
+        assert type(tag) is str and all(type(v) is int for v in verts)
+        part = Part(tuple(verts), tag)
+        assert part.vertices[0] >= 0 and part.vertices[-1] < config.n
+        parts.append(part)
+    cols = data.get("coloring")
+    return config, parts, data.get("metadata", {}), None if cols is None else Coloring(cols)
+
+
+def test_save_load_round_trip_property(tmp_path):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tags = st.one_of(st.sampled_from(["part", "triangle", "singleton-edge", "", "vertices",
+                                      'q"uo\\te']), st.text(max_size=5))
+    # metadata values, some shaped like parts, as the loader's object hook sees them
+    part_shaped = st.fixed_dictionaries({"tag": tags, "vertices": st.lists(st.integers(0, 9),
+                                                                           max_size=3)})
+    value = st.one_of(st.integers(-2, 2**70), st.text(max_size=4), st.booleans(), st.none(),
+                      part_shaped, st.lists(part_shaped, max_size=2))
+    path, again = tmp_path / "first.json", tmp_path / "again.json"
+
+    @hyp.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hyp.given(st.integers(3, 9), st.data())
+    def check(n, data):
+        if data.draw(st.booleans()):
+            config = convex_configuration(n)
+        else:
+            config = generate_general_position(n, seed=data.draw(st.integers(0, 3)))
+        if data.draw(st.booleans()):  # a cover: a triangle packing and the edges it leaves
+            used, parts = set(), []
+            for tri in data.draw(st.permutations(list(combinations(range(n), 3)))):
+                if used.isdisjoint(combinations(tri, 2)):
+                    used.update(combinations(tri, 2))
+                    parts.append(Part(tri, data.draw(tags)))
+            parts += [Part(e, "singleton-edge") for e in combinations(range(n), 2)
+                      if e not in used]
+        else:  # any parts: repeats, gaps, sizes 2 to 4
+            vertex_sets = st.sets(st.integers(0, n - 1), min_size=2, max_size=4)
+            parts = data.draw(st.lists(st.builds(lambda vs, tag: Part(tuple(sorted(vs)), tag),
+                                                 vertex_sets, tags), max_size=12))
+        coloring = None
+        if data.draw(st.booleans()):
+            ids = st.integers(0, max(len(parts) - 1, 0))
+            coloring = Coloring(data.draw(st.lists(ids, min_size=len(parts),
+                                                   max_size=len(parts))))
+        metadata = data.draw(st.dictionaries(st.text(max_size=4), value, max_size=3))
+        save_decomposition(Decomposition(config, parts, metadata), path, coloring=coloring)
+        loaded, col = load_decomposition(path)
+        save_decomposition(loaded, again, coloring=col)
+        assert again.read_bytes() == path.read_bytes()
+        assert (loaded.config, loaded.parts, loaded.metadata, col) == _tree_load(path)
+        assert loaded.parts == parts and col == coloring
+
+    check()
+
+
+_TAGGED = {"tag": "x", "vertices": [0, 1]}
 _TAGGED = {"tag": "x", "vertices": [0, 1]}
 
 
@@ -514,24 +621,42 @@ def test_part_shaped_values_fail_as_decoded(tmp_path, doc, message):
 
 
 def test_json_io_peak_memory_per_part(tmp_path):
-    # load_decomposition makes each Part as the decoder finishes its object and
-    # save_decomposition encodes the parts a slice at a time, so neither holds
-    # a dict per part.  tracemalloc peaks on thm32 k=16 (13,872 parts, CPython
-    # 3.11): load 211 bytes per part (the loaded Parts, coloring and file text
-    # included), save 24 (mostly the coloring list); the decoded-tree loader
-    # and the whole-list encoder peaked at 508 and 299.  The bounds allow 30 %
-    # over the load peak and 3x over the save peak, whose base is small.
+    # load_decomposition stores each part in flat arrays as the decoder
+    # finishes its object, and save_decomposition encodes the parts from the
+    # arrays a slice at a time, so neither holds a dict or a Part per part.
+    # tracemalloc peaks on thm32 k=16 (13,872 parts, CPython 3.11): load 116
+    # bytes per part (the file text and the decoded coloring list included),
+    # save 17; the Part-per-part loader peaked at 187 and the decoded-tree
+    # loader and the whole-list encoder at 508 and 299.  The bounds allow
+    # 30 % over the load peak and 3x over the save peak of the Part store,
+    # whose base is small.
     dec, col = thm32_construction(16)
     path = tmp_path / "k16.json"
     save_decomposition(dec, path, coloring=col)
     m = len(dec.parts)
-    for name, run, bound in (("load", lambda: load_decomposition(path), 275),
+    for name, run, bound in (("load", lambda: load_decomposition(path), 150),
                              ("save", lambda: save_decomposition(dec, path, coloring=col), 72)):
         tracemalloc.start()
         try:
-            result = run()  # kept until the peak is read: a load's Parts count
+            result = run()  # kept until the peak is read: a load's arrays count
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         del result
         assert peak / m < bound, (name, peak / m)
+
+
+def test_thm32_build_peak_memory_per_part():
+    # thm32 appends its blocks straight into the arrays of one Parts and
+    # _finalize sorts indices bucketed by first vertex, with no Part or key
+    # tuple per part: tracemalloc peaks at 102 bytes per part on k=16
+    # (13,872 triangles, CPython 3.11; the cyclic STS's block tuples, which
+    # the build drops once they are stored, included), against 202 with a
+    # Part per part.  The bound allows 30 % over it.
+    tracemalloc.start()
+    try:
+        built = thm32_construction(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(built.decomposition.parts) < 133
