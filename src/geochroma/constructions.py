@@ -507,8 +507,7 @@ def thm5_construction(config: Configuration) -> Construction:
     edges become singleton parts colored greedily at the end.  Triangles that
     would reuse an already-covered edge are discarded.  A level whose
     partition search is exhausted places no triangles; a failed planecut
-    check raises AssertionError.  Every coordinate is within the bound the
-    int64 side counts need, as Configuration checks it when it is built.
+    check raises AssertionError.
     """
     if config.mode != "coordinates":
         raise InputError("thm5 needs a coordinates configuration")
@@ -577,7 +576,10 @@ def _place_level(state: _Thm5State, idxs, depth: int, first: int) -> int:
     used, raw, colors = state.used, state.raw, state.colors
     placed = len(raw)
     ncolors = 0
-    transversals = pencil_transversals(projective_plane(q), 9)
+    # copied once the plane is freed: the list built while the plane lived
+    # sits above the plane's memory and would keep the allocator from
+    # handing it back (n=1600: 42 MB at q=173)
+    transversals = pencil_transversals(projective_plane(q), 9).copy()
     for pos in transversals:
         verts9 = [regions[a][idx] for a, idx in enumerate(pos)]
         slots: dict[str, int] = {}

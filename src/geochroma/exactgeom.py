@@ -8,7 +8,7 @@ other's line: four nonzero orientation signs, opposite in pairs.  The
 documented coordinate bound (|x|, |y| <= 2**30) is a data contract enforced
 where a Configuration is built, however it is built: configurations outside
 the bound are rejected, never silently widened.  The predicates here use
-unbounded Python integers; planecut's int64 side counts rely on the bound.
+unbounded Python integers.
 
 parts_conflict reads each part through its PartShape (vertex set, sorted
 edges, closed box in coordinates mode), which callers that test a part many

@@ -8,22 +8,33 @@ patterns are never copied from the points (a fan's come from a fixed table by
 clockwise sector), so the recount checks what it is given.  Each strip try
 sorts its projections once and cuts that order at every rank it needs.
 
-The ham-sandwich search counts sides in numpy int64, for one anchor against
-every candidate partner at once.  That is exact because every coordinate
-satisfies |x|, |y| <= exactgeom.COORD_BOUND = 2**30: each cross-product term is
-at most 2**31 * 2**31 = 2**62 in magnitude, and the two terms are compared,
-never subtracted.  Configuration enforces the bound when it is built, so no
-input here can exceed it.  numpy is imported only where the sides are
-counted, so importing the package does not load it.
+The ham-sandwich search counts sides by an angular sweep around each anchor.
+The other points are sorted once by angle about it; then, for the line through
+the anchor and any other point, the points strictly left of it form one window
+of that circular order and those strictly right the next window.  So one pass
+of prefix counts of strip A over the order finds the few partners whose line
+can split A evenly, and only their windows are counted in full.  The sweep is
+exact: atan2 only proposes the order, an insertion pass repairs it with
+integer comparisons (the two half-turns first, then the cross-product sign
+within each, a strict order when no two points are collinear with the
+anchor), and integer cross products place every window's end.  The order does
+not depend on the strip direction, so one six_parts_two_parallel call keeps
+each anchor's order and window ends in two array('H') (array('I') from
+n = 32768 on) and drops them when it returns: 4 bytes per (anchor, point)
+pair, at most 4 n**2 bytes in all (8 n**2).  An anchor collinear with two
+other points has windows that skip the points on its lines; its sweep is
+redone at each use instead of kept.  Python integers keep every comparison
+exact.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, islice
+from itertools import accumulate, combinations, compress, islice
 
 from .exactgeom import (
     Configuration,
@@ -188,26 +199,97 @@ def _nudged_line(pts, P: Point, Q: Point, sp: int, sq: int) -> CutLine:
 
 # --- six parts by three lines, two parallel ----------------------------------
 
-def _side_counts(P: Point, qx, qy, strips):
-    """Per-strip counts of the points strictly left and strictly right of the
-    line P Q, for every Q = (qx[j], qy[j]) at once.
+def _angular_sweep(pts, a):
+    """Exact angular order of the other points around pts[a], with the sides.
 
-    qx, qy are int64 coordinate arrays and strips a sequence of (xs, ys) int64
-    array pairs, one per strip.  Returns (left, right), each of shape
-    (len(qx), len(strips)).  Exact while |coordinates| <= 2**30: each product
-    below is at most 2**62.
+    Returns (order, windows).  order lists every index but a by the angle of
+    pts[i] - pts[a] over (-pi, pi].  windows is four sequences (left_lo,
+    left_hi, right_lo, right_hi) indexed by position: in order + order, the
+    points strictly left of the line from pts[a] to pts[order[k]] sit at
+    positions left_lo[k] .. left_hi[k] - 1 and those strictly right at
+    right_lo[k] .. right_hi[k] - 1.  When no two other points are collinear
+    with pts[a], left_lo and right_hi are ranges and left_hi is right_lo.
+    atan2 only proposes the order: an insertion pass repairs it with exact
+    integer comparisons, and exact cross products find every window end.
     """
-    import numpy as np
+    px, py = pts[a]
+    dx = [p.x - px for p in pts]
+    dy = [p.y - py for p in pts]
+    hint = list(map(math.atan2, dy, dx))
+    order = sorted(range(len(pts)), key=hint.__getitem__)
+    order.remove(a)
+    # upper[i]: the angle of d_i lies in (0, pi], else in (-pi, 0]
+    upper = [y > 0 or (y == 0 and x < 0) for x, y in zip(dx, dy)]
+    m = len(order)
+    ties = False  # two other points collinear with pts[a]
+    for i in range(1, m):
+        v = order[i]
+        j = i
+        while j:
+            u = order[j - 1]
+            if upper[u] == upper[v]:
+                c = dx[u] * dy[v] - dy[u] * dx[v]
+                if c >= 0:
+                    ties = ties or c == 0
+                    break
+            elif upper[v]:
+                break
+            order[j] = u
+            j -= 1
+        order[j] = v
+    # coordinates by position in order + order
+    cx = list(map(dx.__getitem__, order)) * 2
+    cy = list(map(dy.__getitem__, order)) * 2
+    # each left window ends at the first position at angle >= theta + pi
+    ends = []
+    s = 1
+    for k in range(m):
+        ux, uy = cx[k], cy[k]
+        end = k + m
+        if s <= k:
+            s = k + 1
+        while s < end and ux * cy[s] > uy * cx[s]:
+            s += 1
+        ties = ties or (s < end and ux * cy[s] == uy * cx[s])
+        ends.append(s)
+    if not ties:
+        return order, (range(1, m + 1), ends, ends, range(m, 2 * m))
+    # positions k .. g - 1 point the same way; the left window stops before
+    # angle theta + pi, the right one starts after it
+    windows = ([], [], [], [])
+    k = s = 0
+    while k < m:
+        ux, uy = cx[k], cy[k]
+        g = k + 1
+        while g < m and upper[order[g]] == upper[order[k]] and ux * cy[g] == uy * cx[g]:
+            g += 1
+        end = k + m
+        s = max(s, g)
+        while s < end and ux * cy[s] > uy * cx[s]:
+            s += 1
+        t = s
+        while t < end and ux * cy[t] == uy * cx[t]:
+            t += 1
+        for w, v in zip(windows, (g, s, t, end)):
+            w.extend([v] * (g - k))
+        k = g
+    return order, windows
 
-    dqx = (qx - P.x)[:, None]
-    dqy = (qy - P.y)[:, None]
-    left, right = [], []
-    for xs, ys in strips:
-        lhs = dqx * (ys - P.y)
-        rhs = dqy * (xs - P.x)
-        left.append(np.count_nonzero(lhs > rhs, axis=1))
-        right.append(np.count_nonzero(lhs < rhs, axis=1))
-    return np.stack(left, axis=1), np.stack(right, axis=1)
+
+def _cached_sweep(pts, a, sweeps):
+    """_angular_sweep(pts, a), kept in sweeps when no two other points are
+    collinear with pts[a]: then each side is one window, held as the order
+    and the window ends in two compact arrays."""
+    hit = sweeps.get(a)
+    if hit is not None:
+        order, ends = hit
+        m = len(order)
+        return order, (range(1, m + 1), ends, ends, range(m, 2 * m))
+    order, windows = _angular_sweep(pts, a)
+    if isinstance(windows[0], range):
+        code = "H" if 2 * len(pts) < 1 << 16 else "I"
+        sweeps[a] = (array(code, order), array(code, windows[1]))
+    return order, windows
 
 
 def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
@@ -233,6 +315,8 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
     t_order = sorted(range(max(1, 2 * lo), (n - 2 * lo) // 2 + 1),
                      key=lambda t: (t != canonical, abs(t - third), t))
 
+    sweeps = {}  # anchor -> its angular sweep, shared by every strip try
+
     def attempt(t, w):
         # t <= n - t: the low strip B, the middle M and the high strip A
         cut = _projection_cuts(pts, w, (t, n - t))
@@ -244,7 +328,7 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
             label[i] = 1
         for i in B:
             label[i] = 2
-        found = _ham_sandwich(pts, label, (A, M, B), lo)
+        found = _ham_sandwich(pts, label, (A, M, B), lo, sweeps=sweeps)
         if found is None:
             return None
         return found, label, line_hi, line_lo, (A, M, B)
@@ -284,51 +368,54 @@ def six_parts_two_parallel(config: Configuration) -> RegionAssignment:
 
 
 _NUDGES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+_SIDE_KEYS = ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))  # (strip, side)
 
 
-def _ham_sandwich(pts, label, strips, lo):
+def _ham_sandwich(pts, label, strips, lo, *, sweeps=None):
     """Line splitting strips A and B near-evenly with all six parts >= lo.
 
     strips is (A, M, B) and label[i] the strip (0..2) of point i.  Brute force
     over lines through one point of A and one of B; first valid candidate (in
     lexicographic order, nudges tried in a fixed order) wins.  Each anchor's
-    side counts against all of B come from one _side_counts call.  Returns
-    (CutLine, side list) or None.
+    side counts against all of B come from one angular sweep around it:
+    prefix counts of A in its order keep the partners whose line leaves at
+    least lo - 1 points of A on each side, and only those are counted in
+    full.  sweeps, a dict, keeps the sweeps across calls with the same pts.
+    Returns (CutLine, side list) or None.
     """
-    import numpy as np  # the side counts are the package's only numpy use
-
     A, _, B = strips
-    B = sorted(B)
-    xs = np.array([p.x for p in pts], dtype=np.int64)
-    ys = np.array([p.y for p in pts], dtype=np.int64)
-    strip_xy = [(xs[s], ys[s]) for s in strips]
-    bx, by = xs[B], ys[B]
+    if sweeps is None:
+        sweeps = {}
+    partner = bytearray(len(pts))
+    for i in B:
+        partner[i] = 1
     for ia in sorted(A):
         Pa = pts[ia]
-        left, right = _side_counts(Pa, bx, by, strip_xy)
-        # a nudge adds the anchor (column 0) or the partner (column 2) to the
-        # side it is pushed to; row j, column k is partner B[j], _NUDGES[k]
-        plus = (left + 1 >= lo) & (right >= lo)
-        minus = (left >= lo) & (right + 1 >= lo)
-        fits = {1: plus, -1: minus}
-        mid = (left[:, 1] >= lo) & (right[:, 1] >= lo)
-        feasible = np.stack([fits[sa][:, 0] & fits[sb][:, 2] & mid
-                             for sa, sb in _NUDGES], axis=1)
-        for j, k in zip(*np.nonzero(feasible)):
-            ib, (sa, sb) = B[j], _NUDGES[k]
-            Pb = pts[ib]
-            (al, mp, bl), (ar, mm, br) = left[j].tolist(), right[j].tolist()
-            ap = al + (sa > 0)
-            am = ar + (sa < 0)
-            bp = bl + (sb > 0)
-            bm = br + (sb < 0)
-            line = _nudged_line(pts, Pa, Pb, sa, sb)
+        order, (left_lo, left_hi, right_lo, right_hi) = _cached_sweep(pts, ia, sweeps)
+        labels = list(map(label.__getitem__, order)) * 2
+        in_a = list(accumulate(map((0).__eq__, labels), initial=0))
+        # a nudge adds one to one side of A, so each side needs lo - 1 points
+        # of A off the line: the left window's count must lie in [lo - 1, hi]
+        hi = in_a[len(order)] - lo + 1
+        near = [k for k in compress(range(len(order)), map(partner.__getitem__, order))
+                if lo - 1 <= in_a[left_hi[k]] - in_a[left_lo[k]] <= hi]
+        feasible = []
+        for k in near:
+            al, ml, bl = map(labels[left_lo[k]:left_hi[k]].count, range(3))
+            ar, mr, br = map(labels[right_lo[k]:right_hi[k]].count, range(3))
+            # a nudge adds the anchor (sa) or the partner (sb) to the side it
+            # is pushed to; counts are per (strip, side) in _SIDE_KEYS order
+            for nudge, (sa, sb) in enumerate(_NUDGES):
+                counts = (al + (sa > 0), ar + (sa < 0), ml, mr, bl + (sb > 0), br + (sb < 0))
+                if min(counts) >= lo:
+                    feasible.append((order[k], nudge, counts))
+        for ib, nudge, counts in sorted(feasible):
+            line = _nudged_line(pts, Pa, pts[ib], *_NUDGES[nudge])
             sides = [line.side(p) for p in pts]
             if any(v == 0 for v in sides):
                 continue
             # exact recount must reproduce the predicted counts
-            want = {(0, 1): ap, (0, -1): am, (1, 1): mp, (1, -1): mm,
-                    (2, 1): bp, (2, -1): bm}
+            want = dict(zip(_SIDE_KEYS, counts))
             got: dict[tuple[int, int], int] = {}
             for i, sv in enumerate(sides):
                 key = (label[i], sv)

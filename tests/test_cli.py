@@ -30,14 +30,16 @@ def _child(code, *flags):
 
 
 def test_cli_import_does_not_load_numpy(tmp_path):
-    # only planecut's side counts use numpy, and they import it themselves
+    # the package uses no numpy: not on import
     out = _child("import sys, geochroma.cli; print('numpy' in sys.modules)").stdout
     assert out.strip() == "False"
-    # nor do the coordinate-mode conflict checks of `color` and `verify`
-    pts, dec, col = (str(tmp_path / f) for f in ("pts.json", "dec.json", "col.json"))
+    # nor in thm5's strip search, nor in the coordinate-mode conflict checks
+    # of `color` and `verify`
+    pts, dec, col, thm5 = (str(tmp_path / f) for f in ("pts.json", "dec.json", "col.json", "t.json"))
     assert main(["gen", "-n", "12", "--seed", "1", "--out", pts]) == 0
     assert main(["build", "edges", "--config", pts, "--out", dec]) == 0
-    for args in (["color", dec, "--mode", "greedy", "--out", col], ["verify", col]):
+    for args in (["build", "thm5", "-n", "90", "--seed", "5", "--out", thm5],
+                 ["color", dec, "--mode", "greedy", "--out", col], ["verify", col]):
         code = ("import sys; from geochroma.cli import main; "
                 f"rc = main({args!r}); print(rc, 'numpy' in sys.modules)")
         assert _child(code).stdout.splitlines()[-1] == "0 False"

@@ -1,7 +1,7 @@
 from collections import Counter
+from functools import partial
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from geochroma.exactgeom import (
@@ -9,16 +9,18 @@ from geochroma.exactgeom import (
     Configuration,
     InputError,
     Point,
+    assert_general_position,
     coordinate_configuration,
     generate_general_position,
     proper_cross,
 )
 from geochroma import planecut
 from geochroma.planecut import (
+    _angular_sweep,
+    _cached_sweep,
     _candidate_normals,
     _ham_sandwich,
     _nudged_line,
-    _side_counts,
     nine_regions,
     projection_splits,
     recount_regions,
@@ -176,7 +178,7 @@ def test_six_parts_exhausted_search_tries_each_strip_once(monkeypatch):
     pts, n = cfg.points, cfg.n
     tried = []
 
-    def no_line(pts, label, strips, lo):
+    def no_line(pts, label, strips, lo, *, sweeps):
         tried.append(tuple(tuple(s) for s in strips))
         return None
 
@@ -242,30 +244,51 @@ def test_nine_regions_merged_pattern_membership():
             )
 
 
-def test_side_counts_exact_at_coordinate_bound():
-    # corners and box-edge points of [-2**30, 2**30]^2: the cross-product
-    # terms reach 2**62, the largest the int64 comparison has to hold
+def test_angular_sweep_exact_at_coordinate_bound():
+    # corners and box-edge points of [-2**30, 2**30]^2, whose cross products
+    # reach 2**62; collinear triples (two corners and (0, 0)) keep every
+    # anchor off the cache.  The second set is in general position, so every
+    # anchor is cached, and from (-2**30, -2**30) it holds two directions
+    # that atan2 cannot tell apart: to (2**30, 2**30 - 1) and to
+    # (2**30 - 1, 2**30 - 2), about 2**-62 apart in angle.
     B = COORD_BOUND
-    pts = [Point(x, y) for x in (-B, B) for y in (-B, B)]
-    pts += [Point(B, 0), Point(-B, 1), Point(3, B), Point(-5, -B),
-            Point(B, B - 1), Point(-B + 1, B), Point(B, -B + 2), Point(0, 0)]
+    box = [Point(x, y) for x in (-B, B) for y in (-B, B)]
+    box += [Point(B, 0), Point(-B, 1), Point(3, B), Point(-5, -B),
+            Point(B, B - 1), Point(-B + 1, B), Point(B, -B + 2), Point(0, 0),
+            Point(B - 1, B - 2), Point(B - 2, B - 3)]
+    spread = [Point(-B, -B), Point(B, B - 1), Point(B - 1, B - 2), Point(-B + 1, B),
+              Point(B, -B + 2), Point(3, B), Point(-5, -B + 7), Point(0, 1), Point(-B, 17)]
+    assert_general_position(spread)
 
-    def arrays(ps):
-        return (np.array([p.x for p in ps], dtype=np.int64),
-                np.array([p.y for p in ps], dtype=np.int64))
+    def cross(P, Q, p):  # plain-int oracle: (Q - P) x (p - P)
+        return (Q.x - P.x) * (p.y - P.y) - (Q.y - P.y) * (p.x - P.x)
 
-    strips = [arrays(pts[k::3]) for k in range(3)]  # point i lies in strip i % 3
-    for P in pts:
-        Qs = [Q for Q in pts if Q != P]
-        left, right = _side_counts(P, *arrays(Qs), strips)  # every Q at once
-        for j, Q in enumerate(Qs):
-            want = {1: [0, 0, 0], -1: [0, 0, 0]}
-            for i, p in enumerate(pts):
-                # plain-int oracle: sign of the cross product (Q - P) x (p - P)
-                s = (Q.x - P.x) * (p.y - P.y) - (Q.y - P.y) * (p.x - P.x)
-                if s:
-                    want[1 if s > 0 else -1][i % 3] += 1
-            assert (left[j].tolist(), right[j].tolist()) == (want[1], want[-1]), (P, Q)
+    def upper(P, p):  # the angle of p - P lies in (0, pi], not in (-pi, 0]
+        return p.y > P.y or (p.y == P.y and p.x < P.x)
+
+    for pts, n_cached in ((box, 0), (spread, len(spread))):
+        cached = {}
+        for a, P in enumerate(pts):
+            order, windows = _angular_sweep(pts, a)
+            assert sorted(order) == [i for i in range(len(pts)) if i != a]
+            for u, v in zip(order, order[1:]):  # nondecreasing angle over (-pi, pi]
+                pu, pv = pts[u], pts[v]
+                assert (upper(P, pu), cross(P, pu, pv) < 0) <= (upper(P, pv), False), (P, pu, pv)
+            ring = order + order
+            for k, q in enumerate(order):
+                left_lo, left_hi, right_lo, right_hi = (w[k] for w in windows)
+                Q = pts[q]
+                assert sorted(ring[left_lo:left_hi]) == [i for i, p in enumerate(pts) if cross(P, Q, p) > 0]
+                assert sorted(ring[right_lo:right_hi]) == [i for i, p in enumerate(pts) if cross(P, Q, p) < 0]
+            # the cache keeps exactly the anchors collinear with no two other
+            # points, and gives back the same order and windows
+            assert _cached_sweep(pts, a, cached) == (order, windows)
+            collinear = any(cross(P, pts[i], pts[j]) == 0 for i, j in combinations(order, 2))
+            assert (a in cached) != collinear, P
+            again = _cached_sweep(pts, a, cached)
+            assert list(again[0]) == order
+            assert [list(w) for w in again[1]] == [list(w) for w in windows]
+        assert len(cached) == n_cached
 
 
 def _ham_sandwich_by_pairs(pts, label, strips, lo):
@@ -325,9 +348,56 @@ def test_ham_sandwich_matches_pair_scan_property():
     check()
 
 
+def test_ham_sandwich_reuses_sweeps_property(monkeypatch):
+    # one point list through several labelings and bounds with one sweeps
+    # dict, as the strip search runs it; the small grid gives collinear
+    # triples, so anchors that are swept anew at each use turn up too
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coord = st.one_of(st.integers(-3, 3), st.sampled_from([-COORD_BOUND, COORD_BOUND]),
+                      st.integers(-COORD_BOUND, COORD_BOUND))
+    points = st.lists(st.tuples(coord, coord), min_size=8, max_size=30, unique=True)
+    uses = Counter()
+    cached_sweep = planecut._cached_sweep
+
+    def counted(pts, a, sweeps):
+        uses["reused"] += a in sweeps
+        found = cached_sweep(pts, a, sweeps)
+        uses["uncached"] += a not in sweeps
+        return found
+
+    monkeypatch.setattr(planecut, "_cached_sweep", counted)
+
+    @hyp.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hyp.given(points, st.data())
+    def check(xy, data):
+        n = len(xy)
+        pts = [Point(x, y) for x, y in xy]
+        sweeps = {}
+        for _ in range(data.draw(st.integers(2, 5))):
+            label = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+            strips = tuple([i for i in range(n) if label[i] == k] for k in range(3))
+            lo = data.draw(st.integers(0, n // 6))
+            outcomes = []
+            for search in (partial(_ham_sandwich, sweeps=sweeps), _ham_sandwich_by_pairs):
+                try:
+                    outcomes.append(search(pts, label, strips, lo))
+                except AssertionError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        for a in sweeps:  # only anchors collinear with no two other points
+            P = pts[a]
+            others = [p for p in pts if p != P]
+            assert all((Q.x - P.x) * (R.y - P.y) != (Q.y - P.y) * (R.x - P.x)
+                       for Q, R in combinations(others, 2))
+
+    check()
+    assert uses["reused"] and uses["uncached"], uses
+
+
 def test_six_parts_rejects_coordinates_above_bound():
     # built directly, without the loader: the constructor checks the bound,
-    # so no out-of-bound configuration reaches the int64 side counts
+    # so no out-of-bound configuration reaches the strip search
     pts = [Point(t, t * t) for t in range(5)] + [Point(COORD_BOUND + 1, 7)]
     with pytest.raises(InputError):
         six_parts_two_parallel(Configuration(mode="coordinates", n=6, points=tuple(pts)))
