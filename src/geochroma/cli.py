@@ -62,10 +62,22 @@ VALIDATION_ERROR = 1
 EXACT_BUDGET = 2_000_000  # search nodes for `color --mode exact` without --budget
 
 
-def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
-    import hashlib  # here, not at the top: OpenSSL costs `verify` and `stats` 3.6 MB RSS
+def _sha256():
+    """A new SHA-256 hash from CPython's own implementation, the one hashlib
+    falls back to without OpenSSL: the same digest, while importing hashlib
+    loads OpenSSL's libcrypto, 3.5-3.7 MB RSS on CPython 3.10-3.13."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:  # an interpreter without either module
+            from hashlib import sha256
+    return sha256()
 
-    sha = hashlib.sha256()
+
+def _write_manifest(out_path: str, command: str, params: dict, seed, t0: float):
+    sha = _sha256()
     with open(out_path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time
             sha.update(chunk)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from operator import eq, ge, sub
 from typing import NamedTuple
 
@@ -290,6 +290,21 @@ def _lex_order(parts: Parts) -> array:
     return order
 
 
+_UNSET = bytes.maketrans(b"\0\1", b"\1\0")  # turns covered-edge flags into uncovered ones
+
+
+def _uncovered_edges(n: int, covered: bytearray) -> Iterator[tuple[int, int]]:
+    """The edges (u, v) of K_n, u < v, whose flag covered[u * n + v] is 0,
+    in lexicographic order: the flags hold one byte per ordered pair, so
+    covering an edge is one store and no object.  The edges share one int
+    object per vertex."""
+    ids = tuple(range(n))
+    for u in ids[:-1]:
+        unset = covered[u * n + u + 1:u * n + n].translate(_UNSET)
+        for v in compress(islice(ids, u + 1, None), unset):
+            yield u, v
+
+
 def _finalize(config, raw: Parts, metadata, colors=None) -> Construction:
     """Sort parts lexicographically by vertex list into a Construction.
 
@@ -298,10 +313,13 @@ def _finalize(config, raw: Parts, metadata, colors=None) -> Construction:
     raw part covers first becomes a singleton-edge part.
     """
     if colors is None:
-        covered = set(chain.from_iterable(map(part_edges, raw.blocks)))
-        for e in combinations(range(config.n), 2):
-            if e not in covered:
-                raw.add(e, "singleton-edge")
+        n = config.n
+        covered = bytearray(n * n)
+        for blk in raw.blocks:
+            for u, v in combinations(blk, 2):
+                covered[u * n + v] = 1
+        for e in _uncovered_edges(n, covered):
+            raw.add(e, "singleton-edge")
     order = _lex_order(raw)
     decomp = Decomposition(config=config, parts=raw.take(order), metadata=metadata)
     if colors is None:
@@ -514,26 +532,27 @@ def thm5_construction(config: Configuration) -> Construction:
     n = config.n
     if n < 2:
         raise InputError("need n >= 2")
-    state = _Thm5State(config.points, set(), Parts(), array("I"), [])
+    state = _Thm5State(config.points, bytearray(n * n), Parts(), array("I"), [])
     tri_colors = _place_level(state, range(n), 0, 0)
     raw, colors, levels = state.raw, state.colors, state.levels
     triangles = len(raw)
     # the singleton edges: every edge of K_n that no triangle covers
-    singles = [e for e in combinations(range(n), 2) if e not in state.used]
-    del state  # and with it the covered-edge set
+    singles = list(_uncovered_edges(n, state.used))
+    del state  # and with it the covered-edge flags
     single_colors = _color_singletons(config, singles, tri_colors)
     for e in singles:
         raw.add(e, "singleton-edge")
     colors.extend(single_colors)
-    single_palette = len(set(single_colors))
+    nsingles, single_palette = len(singles), len(set(single_colors))
+    del singles, single_colors  # stored in raw and colors: not held in _finalize
 
     meta = {
         "construction": "thm5",
         "n": n,
         "threshold": THM5_MIN_LEVEL,
         "triangles": triangles,
-        "singleton_edges": len(singles),
-        "non_triangle_edge_fraction": len(singles) / (n * (n - 1) // 2),
+        "singleton_edges": nsingles,
+        "non_triangle_edge_fraction": nsingles / (n * (n - 1) // 2),
         "triangle_colors": tri_colors,
         "singleton_colors": single_palette,
         "colors": tri_colors + single_palette,
@@ -543,11 +562,13 @@ def thm5_construction(config: Configuration) -> Construction:
 
 
 class _Thm5State(NamedTuple):
-    """What thm5's levels share: the points, the edges their triangles cover
-    so far, the triangles placed with their colors, and one record per level."""
+    """What thm5's levels share: the points; the edges their triangles cover
+    so far, as one flag byte per ordered pair, used[u * n + v] for u < v
+    (n² bytes: 2.6 MB at n = 1600, where a set of edge tuples held about
+    100 MB); the triangles placed with their colors; one record per level."""
 
     pts: tuple
-    used: set
+    used: bytearray
     raw: Parts
     colors: array
     levels: list
@@ -574,6 +595,7 @@ def _place_level(state: _Thm5State, idxs, depth: int, first: int) -> int:
     regions = [[ordered[v] for v in r] for r in nine.regions]
 
     used, raw, colors = state.used, state.raw, state.colors
+    n = len(state.pts)
     placed = len(raw)
     ncolors = 0
     # copied once the plane is freed: the list built while the plane lived
@@ -584,15 +606,15 @@ def _place_level(state: _Thm5State, idxs, depth: int, first: int) -> int:
         verts9 = [regions[a][idx] for a, idx in enumerate(pos)]
         slots: dict[str, int] = {}
         for posns, slot, tag in _K9_TRIANGLES:
-            tri = tuple(sorted(verts9[p] for p in posns))
-            ek = ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))
-            if any(e in used for e in ek):
+            a, b, c = sorted(verts9[p] for p in posns)
+            ab, ac, bc = a * n + b, a * n + c, b * n + c
+            if used[ab] or used[ac] or used[bc]:
                 continue
-            used.update(ek)
+            used[ab] = used[ac] = used[bc] = 1
             if slot not in slots:
                 slots[slot] = ncolors
                 ncolors += 1
-            raw.add(tri, tag)
+            raw.add((a, b, c), tag)
             colors.append(first + slots[slot])
 
     state.levels.append({
@@ -613,8 +635,9 @@ def _edges_cross(config, e1, e2) -> bool:
     return proper_cross(p[e1[0]], p[e1[1]], p[e2[0]], p[e2[1]])
 
 
-def _color_singletons(config, edges, base) -> list[int]:
-    """First-fit colors, from `base` on, of the given edges, in their order.
+def _color_singletons(config, edges, base) -> array:
+    """First-fit colors, from `base` on, of the given edges, which come in
+    lexicographic order; the colors are in the same order.
 
     Coloring runs inside round-robin matching groups: edges with the same
     endpoint-sum never share a vertex, so buckets only need crossing checks,
@@ -628,25 +651,29 @@ def _color_singletons(config, edges, base) -> list[int]:
     """
     n = config.n
     M = n if n % 2 == 1 else n + 1
-    groups: dict[int, list] = {}
-    for e in sorted(edges):
-        groups.setdefault((e[0] + e[1]) % M, []).append(e)
-    color = {}
+    groups: dict[int, list] = {}  # edge indices per group
+    for i, (u, v) in enumerate(edges):
+        groups.setdefault((u + v) % M, []).append(i)
+    color = array("I", [0]) * len(edges)
     for g in sorted(groups):
-        buckets: list[list] = []  # (edge, box) pairs per color
-        for e in groups[g]:
+        members: list[list] = []  # per color of the group: its edge indices
+        boxes: list[list] = []  # and, side by side, their boxes
+        for i in groups[g]:
+            e = edges[i]
             box = part_box(config, e)
-            for bi, bucket in enumerate(buckets):
-                if all(boxes_apart(box, ob) or not _edges_cross(config, e, o)
-                       for o, ob in bucket):
-                    bucket.append((e, box))
-                    color[e] = base + bi
+            for bi, (idxs, bxs) in enumerate(zip(members, boxes)):
+                if all(boxes_apart(box, ob) or not _edges_cross(config, e, edges[o])
+                       for o, ob in zip(idxs, bxs)):
+                    idxs.append(i)
+                    bxs.append(box)
+                    color[i] = base + bi
                     break
             else:
-                color[e] = base + len(buckets)
-                buckets.append([(e, box)])
-        base += len(buckets)
-    return [color[e] for e in edges]
+                color[i] = base + len(members)
+                members.append([i])
+                boxes.append([box])
+        base += len(members)
+    return color
 
 
 # --- JSON interchange ------------------------------------------------------------

@@ -46,15 +46,25 @@ def test_cli_import_does_not_load_numpy(tmp_path):
 
 
 def test_verify_and_stats_do_not_load_hashlib(tmp_path):
-    # only an --out command's manifest digest needs hashlib, and OpenSSL with it
+    # hashlib loads OpenSSL's libcrypto: no command needs it, as an --out
+    # command's manifest digest comes from CPython's own SHA-256
+    import hashlib
+
     out = _child("import sys, geochroma.cli; print('hashlib' in sys.modules)").stdout
     assert out.strip() == "False"
-    dec = str(tmp_path / "dec.json")
-    assert main(["build", "thm32", "-k", "4", "--out", dec]) == 0
-    for command in ("verify", "stats"):
+    pts, dec, col = (str(tmp_path / f) for f in ("pts.json", "dec.json", "col.json"))
+    for args, path in ((["gen", "-n", "12", "--seed", "1", "--out", pts], pts),
+                       (["build", "thm32", "-k", "4", "--out", dec], dec),
+                       (["color", dec, "--mode", "greedy", "--out", col], col),
+                       (["verify", dec], None), (["stats", dec], None)):
         code = ("import sys; from geochroma.cli import main; "
-                f"rc = main([{command!r}, {dec!r}]); print(rc, 'hashlib' in sys.modules)")
-        assert _child(code).stdout.splitlines()[-1] == "0 False"
+                f"rc = main({args!r}); "
+                "print(rc, 'hashlib' in sys.modules, '_hashlib' in sys.modules)")
+        assert _child(code).stdout.splitlines()[-1] == "0 False False", args
+        if path:
+            manifest = json.loads(Path(path + ".manifest.json").read_text())
+            data = Path(path).read_bytes()
+            assert manifest["outputs"] == {os.path.basename(path): hashlib.sha256(data).hexdigest()}
 
 
 def test_out_commands_close_their_files(tmp_path):

@@ -440,7 +440,8 @@ def test_thm5_leaves_no_garbage_for_the_collector():
     # thm5's levels share their state through an argument, not a closure that
     # refers to itself, so what thm5 builds is freed as soon as it is dropped,
     # with no wait for the cyclic collector.  The closure left 13,007 objects
-    # (the covered-edge set and its tuples) for a collection to find at
+    # (the covered-edge set of the time and its edge tuples; the covered
+    # edges are now flags in one bytearray) for a collection to find at
     # n=200, 1.57 MB traced; what a collection frees now, 0.26 MB, is the
     # interpreter's free lists, which a full collection empties.  The first
     # call is a warm-up: it imports what the planecut search loads on first
@@ -462,6 +463,26 @@ def test_thm5_leaves_no_garbage_for_the_collector():
             gc.enable()
     assert len(result.decomposition.parts) > 0
     assert found == 0 and returned - collected < 512 * 1024, (found, returned - collected)
+
+
+def test_thm5_build_peak_memory_per_edge():
+    # thm5 flags each covered edge in one bytearray, byte u*n + v, and reads
+    # the singleton edges from the flags, with no tuple or set entry per
+    # covered edge: tracemalloc peaks at 33.3 bytes per edge of K_n at n=300,
+    # seed 3 (44,850 edges, CPython 3.10-3.13), in _finalize's sort, against
+    # 115 with a set of covered-edge tuples, whose peak was the triangle
+    # placement.  The bound allows 30 % over it.  The first call is a
+    # warm-up: it imports what the planecut search loads on first use.
+    thm5_construction(generate_general_position(90, seed=5))
+    cfg = generate_general_position(300, seed=3)
+    tracemalloc.start()
+    try:
+        built = thm5_construction(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.stats["triangles"] > 0
+    assert peak / (300 * 299 // 2) < 44, peak / (300 * 299 // 2)
 
 
 def test_thm5_deterministic():
