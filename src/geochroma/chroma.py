@@ -87,8 +87,11 @@ def verify_coloring(d: Decomposition, c: Coloring) -> list[tuple[int, int]]:
 
     The pairs come class by class, in order of each class's first part, and
     by part index within a class.  In convex mode a class is first checked by
-    one `convex_noncrossing` scan, and its pairs are listed by `parts_conflict`
-    only if the scan rejects it.  The parts of a class that is checked pair by
+    `convex_noncrossing`'s gap scan: its parts, sorted by first vertex (a
+    loaded file need not list them in order), must each lie inside one gap
+    of the innermost part still open.  Its pairs are listed by
+    `parts_conflict` only if the scan rejects it, so a violation is always
+    named by the pairwise test.  The parts of a class that is checked pair by
     pair are shaped once, so `parts_conflict` decides pairs whose boxes are
     apart without an edge test.  The classes are the runs of one array of
     part indices counting-sorted by color, a few bytes per part and per color

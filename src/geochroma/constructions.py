@@ -15,15 +15,20 @@ covers into a singleton part; every family returns a Construction.
 
 from __future__ import annotations
 
+import json
 from array import array
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, islice, repeat
-from operator import eq, ge, sub
+from functools import partial
+from itertools import chain, combinations, compress, groupby, islice, repeat
+from operator import add, eq, ge, mul, sub
 from typing import NamedTuple
 
 from .exactgeom import (
     Configuration,
+    JSON_SLICE,
+    EncodedList,
     InputError,
     boxes_apart,
     config_from_dict,
@@ -99,7 +104,9 @@ class Parts(Sequence):
     As a sequence it is read-only and its items are Parts, made when asked
     for; it equals a list or tuple of the same Parts.  `blocks` reads the
     vertex tuples without making Parts.  The constructions and the loader
-    fill it with `add`, one part at a time, as each part is made."""
+    fill it with `add`, one part at a time, as each part is made; a family
+    whose parts are all of one size and tag (thm32's triangles, the edges)
+    hands its flat array to `uniform` instead."""
 
     __slots__ = ("vertices", "bounds", "tag_ids", "tags", "_tag_index")
 
@@ -149,34 +156,61 @@ class Parts(Sequence):
     def blocks(self) -> "Blocks":
         return Blocks(self)
 
+    @classmethod
+    def uniform(cls, vertices: array, size: int, tag: str) -> "Parts":
+        """Parts of `size` vertices each, cut in order from the flat
+        array("I") vertices, which the new Parts takes as its own, all
+        with one tag."""
+        out = cls()
+        out.vertices = vertices
+        out.bounds = array("Q", range(0, len(vertices) + 1, size))
+        out.tag_ids = array("I", [0]) * (len(vertices) // size)
+        out.tags.append(tag)
+        out._tag_index[tag] = 0
+        return out
+
     def sizes(self):
         """The number of vertices of each part, in order."""
         bounds = self.bounds
         return map(sub, islice(bounds, 1, None), bounds)
 
+    def common_size(self) -> int:
+        """The number of vertices every part has, or 0 if the parts differ
+        in size (or there are none)."""
+        bounds, verts = self.bounds, self.vertices
+        size = bounds[1] if self else 0
+        if (size and len(verts) == size * len(self)
+                and bounds == array("Q", range(0, len(verts) + 1, size))):
+            return size
+        return 0
+
     def cut(self, ids) -> Iterator[tuple[int, ...]]:
         """The parts' vertex tuples, in order, cut from ids: an iterator over
         the ids of the vertices array, in its order (the array itself, or its
         ids mapped to shared int objects)."""
-        bounds = self.bounds
-        if not self:
-            return iter(())
-        size = bounds[1]
-        if (len(self.vertices) == size * len(self)
-                and bounds == array("Q", range(0, len(self.vertices) + 1, size))):
+        size = self.common_size()
+        if size:
             return zip(*[ids] * size)  # parts of one size: no islice per part
         return map(tuple, map(islice, repeat(ids), self.sizes()))
 
     def take(self, order) -> "Parts":
         """The parts order[0], order[1], ... as a new Parts that shares this
-        one's tag table."""
+        one's tag table.  Parts of one size are copied column by column,
+        with no slice per part."""
         out = Parts()
         out.tags, out._tag_index = self.tags, self._tag_index
         verts, bounds = self.vertices, self.bounds
-        out_verts, out_bounds = out.vertices, out.bounds
-        for i in order:
-            out_verts += verts[bounds[i]:bounds[i + 1]]
-            out_bounds.append(len(out_verts))
+        size = self.common_size()
+        if size:
+            out.vertices = array("I", [0]) * (size * len(order))
+            for j in range(size):
+                out.vertices[j::size] = array("I", map(verts[j::size].__getitem__, order))
+            out.bounds = array("Q", range(0, len(out.vertices) + 1, size))
+        else:
+            out_verts, out_bounds = out.vertices, out.bounds
+            for i in order:
+                out_verts += verts[bounds[i]:bounds[i + 1]]
+                out_bounds.append(len(out_verts))
         out.tag_ids = array("I", map(self.tag_ids.__getitem__, order))
         return out
 
@@ -270,23 +304,42 @@ def validate_decomposition(d: Decomposition) -> dict:
 
 
 def _lex_order(parts: Parts) -> array:
-    """The part indices in lexicographic order of the parts' vertex tuples:
-    bucketed by first vertex, then each bucket sorted on the rest."""
+    """The part indices in lexicographic order of the parts' vertex tuples
+    (a prefix first, equal parts in the order they came).
+
+    The parts are bucketed by first vertex, and each bucket is sorted by one
+    packed integer code per part, through codes.__getitem__: the code of a
+    part's other vertices v_1, ..., v_r is the number with digits v_j + 1 in
+    base max vertex + 2, padded with zero digits to the longest part, so
+    codes compare as the vertex tuples do.  The codes are computed a run of
+    parts of one size at a time, column by column, with no tuple, slice or
+    key call per part (each run costs a few microseconds: _finalize's raw
+    parts come in a run or two), and stored in an array("Q") (a list only
+    if they would not fit 64 bits: no construction here comes near).  Only
+    one bucket's sort keys exist as ints at a time."""
+    if not parts:
+        return array("I")
     verts, bounds = parts.vertices, parts.bounds
-    buckets: dict[int, array] = {}
-    for i, first in enumerate(map(verts.__getitem__, islice(bounds, len(parts)))):
-        bucket = buckets.get(first)
-        if bucket is None:
-            bucket = buckets[first] = array("I")
-        bucket.append(i)
-
-    def rest(i):
-        return verts[bounds[i] + 1:bounds[i + 1]]
-
+    width = max(parts.sizes()) - 1  # the most digits a code has
+    base = max(verts) + 2
+    codes = array("Q") if base ** width <= 1 << 64 else []
+    buckets: dict[int, array] = defaultdict(partial(array, "I"))
+    lo = 0
+    for size, run in groupby(parts.sizes()):
+        hi = lo + len(list(run))
+        chunk = verts[bounds[lo]:bounds[hi]]
+        weights = [base ** (width - j) for j in range(1, size)]
+        code = repeat(sum(weights), hi - lo)  # the + 1 of every digit
+        for j, weight in enumerate(weights, 1):
+            code = map(add, code, map(mul, chunk[j::size], repeat(weight)))
+        codes.extend(code)
+        for i, first in enumerate(chunk[::size], lo):
+            buckets[first].append(i)
+        lo = hi
     order = array("I")
     for first in sorted(buckets):
         bucket = buckets.pop(first)
-        order += bucket if len(bucket) == 1 else array("I", sorted(bucket, key=rest))
+        order += bucket if len(bucket) == 1 else array("I", sorted(bucket, key=codes.__getitem__))
     return order
 
 
@@ -305,13 +358,31 @@ def _uncovered_edges(n: int, covered: bytearray) -> Iterator[tuple[int, int]]:
             yield u, v
 
 
+def _all_pairs(n: int) -> Parts:
+    """Every edge (u, v) of K_n, u < v, in lexicographic order, as
+    singleton-edge parts: u's edges are written into one flat array as two
+    strided columns, with no tuple or flag per edge."""
+    verts = array("I", [0]) * (n * (n - 1))
+    at = 0
+    for u in range(n - 1):
+        end = at + 2 * (n - 1 - u)
+        verts[at:end:2] = array("I", [u]) * (n - 1 - u)
+        verts[at + 1:end:2] = array("I", range(u + 1, n))
+        at = end
+    return Parts.uniform(verts, 2, "singleton-edge")
+
+
 def _finalize(config, raw: Parts, metadata, colors=None) -> Construction:
     """Sort parts lexicographically by vertex list into a Construction.
 
     With colors (one per raw part), the coloring follows the parts into the
     new order.  Without, the coloring is None and every edge of K_n that no
-    raw part covers first becomes a singleton-edge part.
+    raw part covers first becomes a singleton-edge part.  With no raw part
+    at all, those are all the edges, which _all_pairs writes in order: no
+    cover flags, n² bytes, and no sort.
     """
+    if colors is None and not raw:
+        return Construction(Decomposition(config, _all_pairs(config.n), metadata), None)
     if colors is None:
         n = config.n
         covered = bytearray(n * n)
@@ -474,14 +545,15 @@ def thm32_construction(k: int) -> Construction:
                     f"box {box}: triples {triples[ta]} and {triples[tb]} conflict when placed"
                 )
 
-    colors = array("I", ((table.rows[t // 3].box - 1) * n + (s - a) % n
-                         for t, a in enumerate(anchors) for s in range(n)))
+    # (s - a) % n for s = 0..n-1 is n - a .. n - 1, then 0 .. n - a - 1
+    colors = array("I")
+    for t, a in enumerate(anchors):
+        first = (table.rows[t // 3].box - 1) * n
+        colors += array("I", chain(range(first + n - a, first + n), range(first, first + n - a)))
     palette = max(colors) + 1
     if palette != n * (k // 2 + 1):
         raise AssertionError(f"palette {palette} != n(k/2+1) = {n * (k // 2 + 1)}")
-    raw = Parts()
-    for blk in design.blocks:
-        raw.add(blk, "triangle")
+    raw = Parts.uniform(design.blocks.points, 3, "triangle")
     meta = {
         "construction": "thm32",
         "k": k,
@@ -489,7 +561,6 @@ def thm32_construction(k: int) -> Construction:
         "colors": n * (k // 2 + 1),
         "blocks": len(design.blocks),
     }
-    del design  # its block tuples are in raw now
     return _finalize(config, raw, meta, colors=colors)
 
 
@@ -682,29 +753,52 @@ def _part_dict(vertices, tag: str) -> dict:
     return {"vertices": list(vertices), "tag": tag}
 
 
-def _document(d: Decomposition, coloring) -> dict:
-    """The JSON document of d and its coloring, the one encoding rule, with
-    its parts and colors as iterators: each part object made by _part_dict
-    from the arrays when it is reached."""
-    parts = d.parts
-    doc = {
-        "config": config_to_dict(d.config),
-        "parts": map(_part_dict, parts.cut(iter(parts.vertices)),
-                     map(parts.tags.__getitem__, parts.tag_ids)),
-        "metadata": d.metadata,
-    }
+def _document(d: Decomposition, coloring, parts) -> dict:
+    """The JSON document of d and its coloring, with its parts value given
+    and its colors as an iterator."""
+    doc = {"config": config_to_dict(d.config), "parts": parts, "metadata": d.metadata}
     if coloring is not None:
         doc["coloring"] = iter(coloring.colors)
     return doc
 
 
 def decomposition_to_dict(d: Decomposition, coloring=None) -> dict:
-    """The JSON document of d and its coloring (see _document)."""
-    doc = _document(d, coloring)
-    for key in ("parts", "coloring"):
-        if key in doc:
-            doc[key] = list(doc[key])
+    """The JSON document of d and its coloring: a part is the object
+    {"vertices": [...], "tag": ...} (see _part_dict)."""
+    parts = d.parts
+    doc = _document(d, coloring, list(map(_part_dict, parts.cut(iter(parts.vertices)),
+                                          map(parts.tags.__getitem__, parts.tag_ids))))
+    if coloring is not None:
+        doc["coloring"] = list(doc["coloring"])
     return doc
+
+
+def _template(tag: str, size: int) -> str:
+    """The %-format of a part object of this tag and size as write_json
+    writes it (sorted keys, no spaces): json.dumps(tag), its % doubled,
+    and one %d per vertex."""
+    return ('{"tag":' + json.dumps(tag).replace("%", "%%")
+            + ',"vertices":[' + ",".join(["%d"] * size) + "]}")
+
+
+def _parts_text(parts: Parts) -> Iterator[str]:
+    """The JSON text of the parts' objects, JSON_SLICE parts at a time.  A
+    slice is formatted from the arrays by one % on its vertex ids, with the
+    _template of each of its parts joined: a slice of one tag and size
+    repeats one template, and any other slice looks up one per tag and
+    size in it."""
+    verts, bounds, tags, tag_ids = parts.vertices, parts.bounds, parts.tags, parts.tag_ids
+    for lo in range(0, len(parts), JSON_SLICE):
+        hi = min(lo + JSON_SLICE, len(parts))
+        sizes = list(map(sub, bounds[lo + 1:hi + 1], bounds[lo:hi]))
+        slice_tags = tag_ids[lo:hi]
+        if len(set(sizes)) == len(set(slice_tags)) == 1:
+            templates = [_template(tags[slice_tags[0]], sizes[0])] * (hi - lo)
+        else:
+            keys = list(zip(slice_tags, sizes))
+            known = {key: _template(tags[key[0]], key[1]) for key in set(keys)}
+            templates = map(known.__getitem__, keys)
+        yield ",".join(templates) % tuple(verts[bounds[lo]:bounds[hi]])
 
 
 _PARTS_SHAPE = '"parts" must be a list of {"vertices": [...]} objects'
@@ -728,7 +822,10 @@ def _part(obj, n: int | None) -> tuple[list, str]:
     [0, n), and whose "tag", if given, is a string; and, as Parts stores
     them, every vertex below VERTEX_LIMIT.
 
-    With n None the upper end of the range is left to the caller:
+    One Python pass over the vertices accepts a part that passes every
+    check, about a third of the cost of the C-level checks on a triangle;
+    any other part goes through the checks in turn, so the first that fails
+    names it.  With n None the upper end of the range is left to the caller:
     load_decomposition's object hook meets parts before the file's
     configuration is known, checks that end once it is, and discards the
     message of a part that fails here."""
@@ -738,6 +835,15 @@ def _part(obj, n: int | None) -> tuple[list, str]:
     tag = obj.get("tag", "part")
     if type(tag) is not str:
         raise InputError(f"part tag must be a string, got {type(tag).__name__}")
+    last = -1
+    for v in verts:  # one pass accepts the usual part: ints, increasing from 0
+        if type(v) is not int or v <= last:
+            break
+        last = v
+    else:
+        if len(verts) > 1 and last < VERTEX_LIMIT and (n is None or last < n):
+            return verts, tag
+    # otherwise the checks in turn, the first failing one giving the message
     if not _INT.issuperset(map(type, verts)):
         raise InputError(f"part vertices must be ints in [0, {n})")
     if len(verts) < 2:
@@ -799,8 +905,10 @@ def _from_dict(data, stored: Parts | None):
 def save_decomposition(d: Decomposition, path, coloring=None) -> None:
     """Write decomposition_to_dict(d, coloring) with write_json, the same
     bytes, with the parts and colors encoded from the arrays a slice at a
-    time as write_json reaches them: no dict per part exists all at once."""
-    write_json(_document(d, coloring), path)
+    time as write_json reaches them.  The parts' text comes from
+    _parts_text's templates, with no dict per part and one json.dumps per
+    tag and slice; the colors are encoded by write_json."""
+    write_json(_document(d, coloring, EncodedList(_parts_text(d.parts))), path)
 
 
 def load_decomposition(path):
@@ -809,14 +917,14 @@ def load_decomposition(path):
 
     The decoder's object hook passes each object with exactly the keys and
     key order save_decomposition writes for a part through _part (n None),
-    adds it to one Parts and leaves _STORED in its place, so the file's
-    parts never exist as objects all at once.  When every item of the
-    file's "parts" list is a stored part, and every stored part such an
-    item, that Parts is the decomposition's.  Otherwise (a part that fails a
-    check, or a value of a part's shape elsewhere in the file, which the
-    hook cannot tell from a part) the file is decoded again as a plain tree
-    for decomposition_from_dict, so every check and message sees the
-    decoded JSON."""
+    the one per-part rule, adds it to one Parts and leaves _STORED in its
+    place, so the file's parts never exist as objects all at once.  When
+    every item of the file's "parts" list is a stored part, and every stored
+    part such an item, that Parts is the decomposition's.  Otherwise (a part
+    that fails a check, or a value of a part's shape elsewhere in the file,
+    which the hook cannot tell from a part) the file is decoded again as a
+    plain tree for decomposition_from_dict, so every check and message sees
+    the decoded JSON."""
     parts = Parts()
 
     def store(obj: dict):

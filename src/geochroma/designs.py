@@ -11,11 +11,13 @@ coordinates; the plane axioms are checked exhaustively in tests.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from operator import eq, ge
+from operator import ge
 
 from .exactgeom import InputError
 
@@ -185,7 +187,39 @@ def pencil_transversals(plane: ProjectivePlane, m: int) -> list[tuple[int, ...]]
 @dataclass(frozen=True)
 class BlockDesign:
     n: int
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: Sequence[Sequence[int]]
+
+
+class Triples(Sequence):
+    """Blocks of three points stored flat: block i is points[3i:3i + 3], an
+    array("I"), so a block costs 12 bytes and no Python object.  As a
+    sequence its items are tuples, made when asked for; in one pass over it
+    equal ids share one int object, so a caller that keeps the ids it reads
+    (pair_cover_report) holds one int per id, not one per occurrence."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, points: array):
+        self.points = points
+
+    def __len__(self) -> int:
+        return len(self.points) // 3
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]  # a negative i counts from the end, as in a tuple
+        return tuple(self.points[3 * i:3 * i + 3])
+
+    def __iter__(self):
+        points = self.points
+        return zip(*[map({}.setdefault, points, points)] * 3)
+
+    def increasing(self) -> bool:
+        """True iff every block's points are strictly increasing: three
+        column comparisons, with no tuple per block."""
+        a, b, c = (self.points[j::3] for j in range(3))
+        return not any(map(ge, a, b)) and not any(map(ge, b, c))
 
 
 UNCOVERED_LISTED = 1000  # validate_design lists at most this many uncovered pairs
@@ -197,18 +231,23 @@ def validate_design(d: BlockDesign) -> dict:
 
     A block that is not a set of distinct points of 0..n-1 raises
     InputError.  Blocks already in increasing order are counted as they are;
-    otherwise each is counted in sorted order, from a sorted copy.  The
-    report is pair_cover_report's.
+    otherwise each is counted in sorted order, from a sorted copy.  Triples
+    are checked column by column and read flat, with no tuple per block.
+    The report is pair_cover_report's.
     """
     n = d.n
     blocks = d.blocks
-    distinct = all(map(_increasing, blocks))
+    flat = type(blocks) is Triples
+    distinct = blocks.increasing() if flat else all(map(_increasing, blocks))
     if not distinct:
         blocks = [sorted(blk) for blk in blocks]
-        distinct = all(map(_increasing, blocks))
-    points = chain.from_iterable
-    if (not distinct or min(points(blocks), default=0) < 0
-            or max(points(blocks), default=-1) >= n):
+        distinct, flat = all(map(_increasing, blocks)), False
+    if flat:
+        lo, hi = min(blocks.points, default=0), max(blocks.points, default=-1)
+    else:
+        points = chain.from_iterable
+        lo, hi = min(points(blocks), default=0), max(points(blocks), default=-1)
+    if not distinct or lo < 0 or hi >= n:
         raise InputError(f"every block must be a set of distinct points in 0..{n - 1}")
     return pair_cover_report(n, blocks)
 
@@ -223,9 +262,11 @@ def pair_cover_report(n: int, blocks) -> dict:
 
     Each vertex u gets one list of its later neighbours: for every block,
     the points after u, the blocks' own int objects, so a covered pair costs
-    one list slot and no new int.  Each list is sorted once, so a pair
-    covered again sits next to its copies; the lists are keyed by a dict on
-    the vertex, so one rule serves every n.  'repeated' lists each pair
+    one list slot and no new int.  A list's repeats are its length less
+    that of its set, one set at a time; only a design found invalid has its
+    lists sorted, once, so a pair covered again sits next to its copies.
+    The lists are keyed by a dict on the vertex, so one rule serves every
+    n.  'repeated' lists each pair
     covered more than once, in the order of its first block.  The uncovered
     pairs are counted, not listed: 'uncovered' holds only the first
     UNCOVERED_LISTED of them in lexicographic order, from a walk that stops
@@ -233,14 +274,19 @@ def pair_cover_report(n: int, blocks) -> dict:
     """
     later: dict[int, list] = defaultdict(list)
     for blk in blocks:
+        if len(blk) == 3:  # a triangle, unrolled: half the time of the loop
+            a, b, c = blk
+            later[a] += b, c
+            later[b].append(c)
+            continue
         for i in range(1, len(blk)):
             later[blk[i - 1]] += blk[i:]
-    covers = repeats = 0
-    for got in later.values():
-        got.sort()
-        covers += len(got)
-        repeats += sum(map(eq, got, islice(got, 1, None)))
+    covers = sum(map(len, later.values()))
+    repeats = covers - sum(len(set(got)) for got in later.values())
     uncovered_count = n * (n - 1) // 2 - (covers - repeats)
+    if uncovered_count or repeats:  # both listings read sorted lists
+        for got in later.values():
+            got.sort()
     uncovered = []
     if uncovered_count:
         missing = ((u, v) for u in range(n) for v in range(u + 1, n)
@@ -391,19 +437,37 @@ def orbit_block(n: int, s: int, d1: int, d2: int) -> tuple[int, int, int]:
     return tuple(sorted((s, (s + d1) % n, (s + d1 + d2) % n)))
 
 
+def _orbit(n: int, d1: int, d2: int) -> array:
+    """orbit_block(n, s, d1, d2) for s = 0..n-1, flat, for 0 < d1 < d1 + d2
+    < n.  Sorted, the block at s is (s, s+d1, s+d) for s < n-d (d = d1 + d2),
+    (s+d-n, s, s+d1) up to n-d1, and (s+d1-n, s+d-n, s) after: each column
+    is three ranges, written with one strided slice assignment."""
+    d = d1 + d2
+    columns = (
+        (range(0, n - d), range(0, d - d1), range(0, d1)),
+        (range(d1, n - d + d1), range(n - d, n - d1), range(d - d1, d)),
+        (range(d, n), range(n - d + d1, n), range(n - d1, n)),
+    )
+    out = array("I", [0]) * (3 * n)
+    for j, ranges in enumerate(columns):
+        out[j::3] = array("I", chain.from_iterable(ranges))
+    return out
+
+
 def cyclic_sts(table: DifferenceTripleTable) -> BlockDesign:
     """Cyclic STS(n), n = table.n: the orbit of every table triple, in orbit
-    order.
+    order, as Triples.
 
     Block t*n + s is orbit_block(n, s, d1, d2) of the t-th triple of
-    table.triples(); validate_design rejects an uncovered or repeated pair,
-    so a repeated block too.  The blocks share one int object per vertex id,
-    read from a table that lives for this call only."""
+    table.triples(), written into one flat array orbit by orbit (see _orbit),
+    with no tuple per block.  validate_design then runs its full pair count
+    over the array and rejects an uncovered or repeated pair, so a repeated
+    block too."""
     n = table.n
-    vertex = list(range(n)).__getitem__
-    blocks = tuple(tuple(map(vertex, orbit_block(n, s, d1, d2)))
-                   for d1, d2, _ in table.triples() for s in range(n))
-    design = BlockDesign(n=n, blocks=blocks)
+    points = array("I")
+    for d1, d2, _ in table.triples():
+        points += _orbit(n, d1, d2)
+    design = BlockDesign(n=n, blocks=Triples(points))
     report = validate_design(design)
     if not report["valid"]:
         raise InputError(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -92,33 +93,32 @@ def convex_cross(n: int, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
     return (c > a or c < b) != (d > a or d < b)
 
 
-def convex_noncrossing(parts: Sequence[Sequence[int]]) -> bool:
-    """True iff no two parts of a convex configuration conflict.
+def convex_noncrossing(parts: Iterable[Sequence[int]]) -> bool:
+    """True iff no two parts of a convex configuration conflict.  Each part
+    is a strictly increasing sequence of vertex ids; the parts may come in
+    any order.
 
-    Vertices 0..n-1 are in cyclic order, so that holds iff the parts are
-    pairwise vertex-disjoint and no two interleave (no a < b < a' < b' with
-    a, a' in one part and b, b' in another): a non-crossing partition.  One
-    stack scan over the sorted vertices decides it, pushing a part at its
-    first vertex and popping it at its last.
+    Vertices 0..n-1 are in cyclic order, so two parts conflict iff they
+    share a vertex or interleave, and they do neither iff one lies inside a
+    single gap between consecutive vertices of the other.  One stack scan
+    over the parts sorted by first vertex decides it.  The stack holds the
+    open parts, those whose last vertex the scan has not passed, each inside
+    a gap of the one below it; a part is popped once the next part starts
+    after its last vertex.  The next part must then lie inside the gap of
+    the innermost open part that holds its first vertex, found by bisect:
+    it must end before that gap's right end.  Inside that gap it is apart
+    from every part below, and it starts after every part popped.
     """
-    owner: dict[int, int] = {}
-    first, last = [], []
-    for k, part in enumerate(parts):
-        for v in part:
-            if v in owner:  # a shared vertex
-                return False
-            owner[v] = k
-        first.append(min(part))
-        last.append(max(part))
-    stack: list[int] = []
-    for v in sorted(owner):
-        k = owner[v]
-        if v == first[k]:
-            stack.append(k)
-        elif stack[-1] != k:  # k is open but another part opened inside it
-            return False
-        if v == last[k]:
+    stack: list = []
+    for part in sorted(parts):
+        first = part[0]
+        while stack and stack[-1][-1] < first:
             stack.pop()
+        if stack:
+            top = stack[-1]  # top[0] <= first <= top[-1]
+            if top[bisect_left(top, first)] <= part[-1]:  # shared, or past the gap
+                return False
+        stack.append(part)
     return True
 
 
@@ -361,35 +361,52 @@ def config_from_dict(d: dict) -> Configuration:
 JSON_SLICE = 256
 
 
+class EncodedList(NamedTuple):
+    """A list value for write_json given as its JSON text: pieces, each the
+    comma-separated encodings of one or more of its items, in order.  The
+    caller vouches that the text is what json.dumps would write."""
+
+    pieces: Iterable[str]
+
+
 def write_json(data: dict, path) -> None:
     """Write data as the data files store it: one line of compact JSON with
     sorted keys: json.dumps(data, sort_keys=True, separators=(",", ":")) and a
     newline.  A top-level value may also be an iterator, written as the list
-    of its items.
+    of its items, or an EncodedList, whose pieces are written as they come.
 
     json.dumps encodes in C, several times faster than json.dump's Python
     encoder, but holds the whole text in memory.  So each top-level value is
     encoded on its own, and a list or iterator value in slices of JSON_SLICE
     items: the text held at once stays small however many parts a file has.
     An iterator's items are built on demand, one slice at a time, so a caller
-    that maps its records to dicts lazily (as save_decomposition does) never
-    holds every dict at once.
+    that maps its records to dicts lazily never holds every dict at once;
+    an EncodedList's pieces are likewise made as they are written
+    (save_decomposition formats its parts so, a slice of them a piece).
     """
     def dumps(obj):
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    def encoded(items):  # the JSON text of the items, JSON_SLICE at a time
+        while chunk := list(islice(items, JSON_SLICE)):
+            yield dumps(chunk)[1:-1]
 
     with open(path, "w") as fh:
         fh.write("{")
         for n, key in enumerate(sorted(data)):
             fh.write(("," if n else "") + dumps(key) + ":")
             value = data[key]
-            if not isinstance(value, (list, Iterator)):
+            if type(value) is EncodedList:
+                pieces = value.pieces
+            elif isinstance(value, (list, Iterator)):
+                pieces = encoded(iter(value))
+            else:
                 fh.write(dumps(value))
                 continue
             fh.write("[")
-            items, sep = iter(value), ""
-            while chunk := list(islice(items, JSON_SLICE)):
-                fh.write(sep + dumps(chunk)[1:-1])
+            sep = ""
+            for piece in pieces:
+                fh.write(sep + piece)
                 sep = ","
             fh.write("]")
         fh.write("}\n")

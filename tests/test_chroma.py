@@ -10,6 +10,7 @@ from geochroma.exactgeom import (
     boxes_apart,
     convex_configuration,
     convex_cross,
+    convex_noncrossing,
     coordinate_configuration,
     generate_general_position,
     orient,
@@ -117,6 +118,35 @@ def test_verify_coloring_matches_all_pairs_property():
         assert bad == _all_pairs_violations(d, colors)
 
     check()
+
+
+def test_verify_coloring_on_parts_out_of_lex_order():
+    # a loaded file need not list its parts in lexicographic order, so the
+    # gap scan sorts each class itself: thm32 k=4 with its parts and colors
+    # shuffled together (still proper), then with parts moved into other
+    # parts' classes
+    d, c = thm32_construction(4)
+    m = len(d.parts)
+    rng = random.Random(3)
+    improper = 0
+    for moved in (0, 1, 5, 40):
+        perm = rng.sample(range(m), m)
+        shuffled = Decomposition(config=d.config, parts=[d.parts[i] for i in perm])
+        colors = [c.colors[i] for i in perm]
+        for i in rng.sample(range(m), moved):
+            colors[i] = colors[rng.randrange(m)]
+        bad = verify_coloring(shuffled, Coloring(colors=tuple(colors)))
+        assert bad == _all_pairs_violations(shuffled, colors)
+        assert moved or not bad
+        improper += bool(bad)
+        # the scan alone, on each class in file order, is the pairwise verdict
+        classes = {}
+        for part, col in zip(shuffled.parts.blocks, colors):
+            classes.setdefault(col, []).append(part)
+        for cls in classes.values():
+            conflict = any(parts_conflict(d.config, a, b) for a, b in combinations(cls, 2))
+            assert convex_noncrossing(cls) == (not conflict)
+    assert improper == 3
 
 
 def _check_box_prefilter(points, parts, colors):

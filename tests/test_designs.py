@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import combinations, islice
 
@@ -8,6 +9,7 @@ import pytest
 from geochroma.designs import (
     UNCOVERED_LISTED,
     BlockDesign,
+    Triples,
     cyclic_sts,
     difference_triples,
     field_tables,
@@ -357,3 +359,34 @@ def test_cyclic_sts_lists_blocks_in_orbit_order(k):
     for i, (d1, d2, _) in enumerate(table.triples()):
         for s in range(n):
             assert design.blocks[i * n + s] == orbit_block(n, s, d1, d2)
+
+
+def test_cyclic_sts_blocks_are_flat_triples():
+    # the orbit blocks sit in one array("I"), three ids a block, and read
+    # as a tuple of tuples would
+    design = cyclic_sts(difference_triples(4))
+    blocks = design.blocks
+    assert type(blocks) is Triples and blocks.points.typecode == "I"
+    as_tuples = tuple(blocks)
+    assert len(blocks) == len(as_tuples) == 876 and len(blocks.points) == 3 * 876
+    assert blocks[-1] == as_tuples[-1] and blocks[5:40:3] == as_tuples[5:40:3]
+    assert validate_design(design) == validate_design(BlockDesign(n=73, blocks=as_tuples))
+    with pytest.raises(IndexError):
+        blocks[876]
+
+
+@pytest.mark.parametrize("points", [(0, 2, 1), (3, 1, 2), (1, 1, 2), (0, 1, 4)],
+                         ids=["unsorted", "unsorted-last", "repeated-point", "above-n"])
+def test_validate_design_reads_triples_as_tuples(points):
+    # flat blocks are checked and counted as the same blocks given as
+    # tuples: an unsorted one in sorted order, a repeated or out-of-range
+    # point rejected
+    blocks = Triples(array("I", (0, 1, 2, *points)))
+    as_tuples = BlockDesign(n=4, blocks=tuple(blocks))
+    try:
+        expected = validate_design(as_tuples)
+    except InputError as exc:
+        with pytest.raises(InputError, match=f"^{exc}$".replace(".", r"\.")):
+            validate_design(BlockDesign(n=4, blocks=blocks))
+    else:
+        assert validate_design(BlockDesign(n=4, blocks=blocks)) == expected

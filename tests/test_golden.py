@@ -8,6 +8,7 @@ it is a regression to fix, not a value to update.
 import hashlib
 import json
 import random
+from array import array
 
 import pytest
 
@@ -15,6 +16,8 @@ from geochroma.chroma import conflict_graph, greedy_color, verify_coloring
 from geochroma.cli import main
 from geochroma.constructions import (
     Coloring,
+    Decomposition,
+    Parts,
     decomposition_to_dict,
     load_decomposition,
     save_decomposition,
@@ -84,6 +87,22 @@ def _thm32_k4():
     return thm32_construction(4)
 
 
+def _odd_tags():
+    # tags that JSON escapes or that % formatting would read (%, ", \,
+    # non-ASCII, control characters) on edges, triangles and K4s: two slices
+    # of mixed tags and sizes, then a slice of one tag and size
+    rng = random.Random(11)
+    tags = ["100%", "%d %s %%", 'say "hi"', "back\\slash", "na\u00efve", "\u4e2d\u6587",
+            "\u2028", "tab\t"]
+    parts = Parts()
+    for _ in range(300):
+        parts.add(sorted(rng.sample(range(40), rng.choice((2, 3, 4)))), rng.choice(tags))
+    for _ in range(300):
+        parts.add(sorted(rng.sample(range(40), 3)), "%s")
+    dec = Decomposition(config=convex_configuration(40), parts=parts, metadata={"note": "\u00e9%"})
+    return dec, Coloring(array("I", (rng.randrange(50) for _ in range(600))))
+
+
 @pytest.mark.parametrize("make,colored,digest", [
     pytest.param(lambda: (trivial_edge_decomposition(convex_configuration(7)), None), False,
                  "e565bab3c0d03f513b665bc01bf8eab6baccdd5cd1de1b26d584e5c49a5b1aed",
@@ -106,10 +125,18 @@ def _thm32_k4():
     pytest.param(_thm32_k4, True,
                  "475f5baa5cb4175117d00246e283bf1580d8f51a32b9ab81588539f1e290918a",
                  id="thm32-k4-colored"),
+    pytest.param(_odd_tags, False,
+                 "5c527f1a19d1be4764aaee8881446aa02c9447bbc64e79844fcc45e1895d6996",
+                 id="odd-tags"),
+    pytest.param(_odd_tags, True,
+                 "4e4575c2bbbf9f9aad6f82ddb0cdb344b217af00f0eb0092ddd5e4266ce4769d",
+                 id="odd-tags-colored"),
 ])
 def test_save_writes_the_dict_encoding(tmp_path, make, colored, digest):
-    # save_decomposition encodes the parts a slice at a time; the bytes are
-    # those of write_json on the whole decomposition_to_dict document
+    # save_decomposition formats the parts from per-tag templates a slice at
+    # a time; the bytes are those of write_json on the whole
+    # decomposition_to_dict document, which encodes each part dict with
+    # json.dumps
     dec, col = make()
     col = col if colored else None
     saved, whole = tmp_path / "saved.json", tmp_path / "whole.json"
