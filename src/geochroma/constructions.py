@@ -314,15 +314,16 @@ def _lex_order(parts: Parts) -> array:
     codes compare as the vertex tuples do.  The codes are computed a run of
     parts of one size at a time, column by column, with no tuple, slice or
     key call per part (each run costs a few microseconds: _finalize's raw
-    parts come in a run or two), and stored in an array("Q") (a list only
-    if they would not fit 64 bits: no construction here comes near).  Only
-    one bucket's sort keys exist as ints at a time."""
+    parts come in a run or two), and stored in an array("Q"), which raises
+    OverflowError if a code does not fit 64 bits (a K4's code passes 64
+    bits only past about 2.6 million vertices).  Only one bucket's sort
+    keys exist as ints at a time."""
     if not parts:
         return array("I")
     verts, bounds = parts.vertices, parts.bounds
     width = max(parts.sizes()) - 1  # the most digits a code has
     base = max(verts) + 2
-    codes = array("Q") if base ** width <= 1 << 64 else []
+    codes = array("Q")
     buckets: dict[int, array] = defaultdict(partial(array, "I"))
     lo = 0
     for size, run in groupby(parts.sizes()):
@@ -553,7 +554,7 @@ def thm32_construction(k: int) -> Construction:
     palette = max(colors) + 1
     if palette != n * (k // 2 + 1):
         raise AssertionError(f"palette {palette} != n(k/2+1) = {n * (k // 2 + 1)}")
-    raw = Parts.uniform(design.blocks.points, 3, "triangle")
+    raw = Parts.uniform(design.blocks.flat(), 3, "triangle")
     meta = {
         "construction": "thm32",
         "k": k,
@@ -784,21 +785,14 @@ def _template(tag: str, size: int) -> str:
 def _parts_text(parts: Parts) -> Iterator[str]:
     """The JSON text of the parts' objects, JSON_SLICE parts at a time.  A
     slice is formatted from the arrays by one % on its vertex ids, with the
-    _template of each of its parts joined: a slice of one tag and size
-    repeats one template, and any other slice looks up one per tag and
-    size in it."""
+    _template of each of its parts joined, made once per tag and size the
+    slice holds."""
     verts, bounds, tags, tag_ids = parts.vertices, parts.bounds, parts.tags, parts.tag_ids
     for lo in range(0, len(parts), JSON_SLICE):
         hi = min(lo + JSON_SLICE, len(parts))
-        sizes = list(map(sub, bounds[lo + 1:hi + 1], bounds[lo:hi]))
-        slice_tags = tag_ids[lo:hi]
-        if len(set(sizes)) == len(set(slice_tags)) == 1:
-            templates = [_template(tags[slice_tags[0]], sizes[0])] * (hi - lo)
-        else:
-            keys = list(zip(slice_tags, sizes))
-            known = {key: _template(tags[key[0]], key[1]) for key in set(keys)}
-            templates = map(known.__getitem__, keys)
-        yield ",".join(templates) % tuple(verts[bounds[lo]:bounds[hi]])
+        keys = list(zip(tag_ids[lo:hi], map(sub, bounds[lo + 1:hi + 1], bounds[lo:hi])))
+        known = {key: _template(tags[key[0]], key[1]) for key in set(keys)}
+        yield ",".join(map(known.__getitem__, keys)) % tuple(verts[bounds[lo]:bounds[hi]])
 
 
 _PARTS_SHAPE = '"parts" must be a list of {"vertices": [...]} objects'

@@ -191,34 +191,39 @@ class BlockDesign:
 
 
 class Triples(Sequence):
-    """Blocks of three points stored flat: block i is points[3i:3i + 3], an
-    array("I"), so a block costs 12 bytes and no Python object.  As a
+    """Blocks of three points stored flat in one array("I"), so a block
+    costs 12 bytes and no Python object; flat() reads that array.  As a
     sequence its items are tuples, made when asked for; in one pass over it
     equal ids share one int object, so a caller that keeps the ids it reads
     (pair_cover_report) holds one int per id, not one per occurrence."""
 
-    __slots__ = ("points",)
+    __slots__ = ("_points",)
 
     def __init__(self, points: array):
-        self.points = points
+        self._points = points
+
+    def flat(self) -> array:
+        """The blocks' points, block after block: block i is the items 3i to
+        3i + 2.  The stored array itself, not a copy."""
+        return self._points
 
     def __len__(self) -> int:
-        return len(self.points) // 3
+        return len(self._points) // 3
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
         i = range(len(self))[i]  # a negative i counts from the end, as in a tuple
-        return tuple(self.points[3 * i:3 * i + 3])
+        return tuple(self._points[3 * i:3 * i + 3])
 
     def __iter__(self):
-        points = self.points
+        points = self._points
         return zip(*[map({}.setdefault, points, points)] * 3)
 
     def increasing(self) -> bool:
         """True iff every block's points are strictly increasing: three
         column comparisons, with no tuple per block."""
-        a, b, c = (self.points[j::3] for j in range(3))
+        a, b, c = (self._points[j::3] for j in range(3))
         return not any(map(ge, a, b)) and not any(map(ge, b, c))
 
 
@@ -243,7 +248,7 @@ def validate_design(d: BlockDesign) -> dict:
         blocks = [sorted(blk) for blk in blocks]
         distinct, flat = all(map(_increasing, blocks)), False
     if flat:
-        lo, hi = min(blocks.points, default=0), max(blocks.points, default=-1)
+        lo, hi = min(blocks.flat(), default=0), max(blocks.flat(), default=-1)
     else:
         points = chain.from_iterable
         lo, hi = min(points(blocks), default=0), max(points(blocks), default=-1)

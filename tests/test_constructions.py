@@ -749,19 +749,6 @@ def test_edges_build_peak_memory_per_edge():
     assert peak / len(d.parts) < 24, peak / len(d.parts)
 
 
-def test_lex_order_with_codes_past_64_bits():
-    # vertex ids near 2**32 in parts of up to five vertices: the packed
-    # codes do not fit an array("Q"), so they sit in a list, in the same
-    # order
-    rng = random.Random(9)
-    top = constructions.VERTEX_LIMIT
-    raw = constructions.Parts()
-    for _ in range(300):
-        raw.add(sorted(rng.sample(range(top - 12, top), rng.randint(2, 5))), "part")
-    blocks = list(raw.blocks)
-    assert list(constructions._lex_order(raw)) == sorted(range(len(raw)), key=blocks.__getitem__)
-
-
 def test_save_of_no_parts_equals_the_dict_encoding(tmp_path):
     d = Decomposition(config=convex_configuration(3), parts=constructions.Parts())
     saved, whole = tmp_path / "saved.json", tmp_path / "whole.json"

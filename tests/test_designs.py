@@ -366,9 +366,9 @@ def test_cyclic_sts_blocks_are_flat_triples():
     # as a tuple of tuples would
     design = cyclic_sts(difference_triples(4))
     blocks = design.blocks
-    assert type(blocks) is Triples and blocks.points.typecode == "I"
+    assert type(blocks) is Triples and blocks.flat().typecode == "I"
     as_tuples = tuple(blocks)
-    assert len(blocks) == len(as_tuples) == 876 and len(blocks.points) == 3 * 876
+    assert len(blocks) == len(as_tuples) == 876 and len(blocks.flat()) == 3 * 876
     assert blocks[-1] == as_tuples[-1] and blocks[5:40:3] == as_tuples[5:40:3]
     assert validate_design(design) == validate_design(BlockDesign(n=73, blocks=as_tuples))
     with pytest.raises(IndexError):
